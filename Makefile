@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test vet race check bench gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all fmt build test vet race check bench gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -16,9 +17,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the full gate: compile, vet, and the test suite under the
-# race detector.
-check: build vet race
+# fmt fails when any tracked Go file is not gofmt-formatted.
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# check is the full gate: formatting, compile, vet, and the test suite
+# under the race detector.
+check: fmt build vet race
 
 # bench runs the tick-loop benchmark matrix — the serial cells plus the
 # parallel-engine workers axis (1,2,4,8 by default, see

@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lunule-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		wl        = fs.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed")
+		wl        = fs.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed, ReadStorm")
 		bal       = fs.String("balancer", "Lunule", "balancer: Vanilla, GreedySpill, Lunule-Light, Lunule, Dir-Hash")
 		mdsN      = fs.Int("mds", 5, "number of metadata servers")
 		clients   = fs.Int("clients", 40, "number of clients")
@@ -105,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	name := canonical(*wl)
+	var name string
 	var gen workload.Generator
 	nClients := *clients
 	if *traceFile != "" {
@@ -122,7 +122,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nClients = tf.Clients()
 		name = "Trace(" + *traceFile + ")"
 	} else {
+		var err error
+		if name, err = experiment.WorkloadName(*wl); err != nil {
+			return fail(err)
+		}
 		gen = experiment.MakeWorkload(name, *scale)
+	}
+	balName, err := experiment.BalancerName(*bal)
+	if err != nil {
+		return fail(err)
 	}
 	var tenancy *tenant.Manager
 	if *tenants > 0 {
@@ -277,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DataPath:      *data,
 		Seed:          *seed,
 		Workers:       *workers,
-		Balancer:      experiment.MakeBalancer(canonicalBalancer(*bal)),
+		Balancer:      experiment.MakeBalancer(balName),
 		Workload:      gen,
 		RecoveryTicks: *recoveryT,
 		Faults:        faults,
@@ -495,42 +503,4 @@ func writeCSV(path string, emit func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func canonical(w string) string {
-	switch strings.ToLower(w) {
-	case "cnn":
-		return "CNN"
-	case "nlp":
-		return "NLP"
-	case "web":
-		return "Web"
-	case "zipf":
-		return "Zipf"
-	case "md", "mdtest":
-		return "MD"
-	case "mixed":
-		return "Mixed"
-	case "readstorm", "read-storm":
-		return "ReadStorm"
-	default:
-		return w
-	}
-}
-
-func canonicalBalancer(b string) string {
-	switch strings.ToLower(b) {
-	case "vanilla", "cephfs", "cephfs-vanilla":
-		return "Vanilla"
-	case "greedyspill", "greedy":
-		return "GreedySpill"
-	case "lunule-light", "light":
-		return "Lunule-Light"
-	case "lunule":
-		return "Lunule"
-	case "dir-hash", "dirhash", "hash":
-		return "Dir-Hash"
-	default:
-		return b
-	}
 }

@@ -92,6 +92,27 @@ func TestBadFlagsFail(t *testing.T) {
 	}
 }
 
+// TestBadInputErrors checks that out-of-range sizes and unknown
+// workload or balancer names exit 1 with an error line instead of
+// panicking.
+func TestBadInputErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mds", "-1"},
+		{"-clients", "-5"},
+		{"-capacity", "-3"},
+		{"-workload", "nope"},
+		{"-balancer", "nope"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, "-maxticks", "5"), &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.HasPrefix(stderr.String(), "error: ") {
+			t.Errorf("%v: stderr %q, want an error: line", args, stderr.String())
+		}
+	}
+}
+
 // TestReplicatedRunWithPathCrash smoke-tests the replication flags
 // end-to-end: an audited R=2 run with a partition-scoped crash exits
 // clean and reports the replication summary rows.

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		wl        = flag.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed")
+		wl        = flag.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed, ReadStorm")
 		clients   = flag.Int("clients", 4, "number of client streams to interleave")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		seed      = flag.Uint64("seed", 42, "random seed")
@@ -34,7 +34,12 @@ func main() {
 	)
 	flag.Parse()
 
-	gen := experiment.MakeWorkload(canonical(*wl), *scale)
+	name, err := experiment.WorkloadName(*wl)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		os.Exit(1)
+	}
+	gen := experiment.MakeWorkload(name, *scale)
 	tree := namespace.NewTree()
 	specs, err := gen.Setup(tree, *clients, rng.New(*seed))
 	if err != nil {
@@ -171,23 +176,4 @@ func bar(v float64) string {
 		}
 	}
 	return string(out)
-}
-
-func canonical(w string) string {
-	switch w {
-	case "cnn", "CNN":
-		return "CNN"
-	case "nlp", "NLP":
-		return "NLP"
-	case "web", "Web":
-		return "Web"
-	case "zipf", "Zipf":
-		return "Zipf"
-	case "md", "MD":
-		return "MD"
-	case "mixed", "Mixed":
-		return "Mixed"
-	default:
-		return w
-	}
 }

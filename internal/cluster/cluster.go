@@ -85,23 +85,13 @@ type Config struct {
 	// touches the RNG or tick ordering, so the same seed produces the
 	// same run with tracing on or off.
 	Bus *obs.Bus
-	// DisableResolveCache turns off the version-cached authority
-	// resolver and resolves every op with a full ancestor walk. The
-	// cache is semantically invisible (it is invalidated by
-	// Partition.Version on every mutation), so this knob exists only
-	// for the differential tests that prove it.
-	DisableResolveCache bool
 	// Workers is the worker count for the phased tick engine: how many
 	// goroutines execute the routing and serve subphases of each tick
 	// (see engine.go). 0 or 1 runs the engine inline on the calling
 	// goroutine. The simulated run is byte-identical at every worker
 	// count — parallelism changes wall-clock time only — which the
-	// differential tests prove the same way the resolve-cache ones do.
+	// differential tests prove.
 	Workers int
-	// DisableParallelEngine forces Workers to 1, mirroring
-	// DisableResolveCache as an escape hatch: the engine algorithm is
-	// identical either way, only the goroutine fan-out is suppressed.
-	DisableParallelEngine bool
 	// Audit optionally attaches a state auditor that validates
 	// cross-module invariants at every epoch close (or every tick; see
 	// audit.Options.EveryTick). Like the Bus, nil disables auditing at
@@ -127,10 +117,12 @@ type Config struct {
 	// Batching enables write-back client batching with server-side
 	// group commit (wb.go): clients buffer ops locally, flush them in
 	// per-rank batches, and servers apply a batch through a
-	// group-commit journal at one budget unit per BatchSize ops. nil
-	// keeps the synchronous per-op path; the degenerate {1,1} setting
-	// also runs the sync path (verbatim — the differential tests prove
-	// byte-identity).
+	// group-commit journal at one budget unit per BatchSize ops. The
+	// engine's serveTick then runs the write-back serveBatches in place
+	// of the synchronous per-op serveRuns; gating, budget pools, serve
+	// rounds and the end-of-tick merge are shared. nil, or the
+	// degenerate {1,1} setting, runs serveRuns (verbatim — the
+	// differential tests prove byte-identity).
 	Batching *BatchingConfig
 	// Tenancy optionally attaches a multi-tenant QoS manager: every
 	// client belongs to a tenant (tagged by the workload), admission
@@ -142,6 +134,13 @@ type Config struct {
 	// run dry produces a byte-identical run (the differential tests
 	// prove both).
 	Tenancy *tenant.Manager
+
+	// uncachedResolve turns off the version-cached authority resolvers
+	// and resolves every op with a full ancestor walk. The cache is
+	// semantically invisible (it is invalidated by Partition.Version on
+	// every mutation), so this reference path exists only for the
+	// differential tests that prove it.
+	uncachedResolve bool
 }
 
 // BatchingConfig shapes the write-back mode.
@@ -209,7 +208,7 @@ type Cluster struct {
 
 	tree     *namespace.Tree
 	part     *namespace.Partition
-	resolver *namespace.Resolver // nil when cfg.DisableResolveCache
+	resolver *namespace.Resolver // nil when cfg.uncachedResolve
 	servers  []*mds.Server
 	migrator *mds.Migrator
 	clients  []*client.Client
@@ -306,6 +305,14 @@ type Cluster struct {
 // client streams.
 func New(cfg Config) (*Cluster, error) {
 	cfg.defaults()
+	switch {
+	case cfg.MDS < 0:
+		return nil, fmt.Errorf("cluster: MDS must be >= 0, got %d", cfg.MDS)
+	case cfg.Clients < 0:
+		return nil, fmt.Errorf("cluster: Clients must be >= 0, got %d", cfg.Clients)
+	case cfg.Capacity < 0:
+		return nil, fmt.Errorf("cluster: Capacity must be >= 0, got %d", cfg.Capacity)
+	}
 	if cfg.Balancer == nil {
 		return nil, errors.New("cluster: config requires a balancer")
 	}
@@ -342,7 +349,7 @@ func New(cfg Config) (*Cluster, error) {
 		pins:      make(map[namespace.FragKey]int),
 	}
 	cl.orphanFn = func(id namespace.MDSID) bool { return cl.orphaned[id] }
-	if !cfg.DisableResolveCache {
+	if !cfg.uncachedResolve {
 		cl.resolver = namespace.NewResolver(part)
 	}
 	for i := 0; i < cfg.MDS; i++ {
@@ -555,12 +562,10 @@ func (c *Cluster) CrashMDS(rank int) bool {
 	// If the rank later rejoins it comes back Active, not Draining.
 	delete(c.draining, id)
 	aborted := c.migrator.AbortRank(id)
-	if c.engine.wb != nil {
-		// The dead rank's unapplied group-commit journal is lost: every
-		// batch in it re-queues its owner's outstanding suffix
-		// client-side, exactly once (wb.go).
-		c.engine.wbCrashRank(id, c.tick)
-	}
+	// The dead rank's unapplied group-commit journal is lost: every
+	// batch in it re-queues its owner's outstanding suffix client-side,
+	// exactly once (wb.go).
+	c.engine.wbCrashRank(id, c.tick)
 	c.orphaned[id] = true
 	crashedAt := c.tick
 	c.crashTick[id] = crashedAt
@@ -572,13 +577,7 @@ func (c *Cluster) CrashMDS(rank int) bool {
 		// standby set, and schedule the warm promotion pass well inside
 		// the cold window. Whatever it still leads then moves to synced
 		// standbys; the rest waits for the cold takeover above.
-		before := c.rep.LeasesRevoked()
-		c.rep.DropRank(id)
-		if n := c.rep.LeasesRevoked() - before; n > 0 && c.bus.Enabled(obs.EvLeaseRevoke) {
-			f := obs.AcquireF()
-			f["rank"], f["n"], f["reason"] = rank, n, "crash"
-			c.bus.EmitPooled(obs.Event{Tick: crashedAt, Type: obs.EvLeaseRevoke, Fields: f})
-		}
+		c.dropReplicaRank(id, crashedAt, "crash")
 		c.events.Schedule(crashedAt+int64(c.rep.Policy().PromoteTicks), func() {
 			c.promoteReplicas(id, crashedAt)
 		})
@@ -588,6 +587,19 @@ func (c *Cluster) CrashMDS(rank int) bool {
 			Fields: obs.F{"rank": rank, "live": live - 1, "aborted": aborted}})
 	}
 	return true
+}
+
+// dropReplicaRank removes a crashed or draining rank from every
+// standby set, emitting one lease-revoke event for the read leases it
+// held.
+func (c *Cluster) dropReplicaRank(id namespace.MDSID, tick int64, reason string) {
+	before := c.rep.LeasesRevoked()
+	c.rep.DropRank(id)
+	if n := c.rep.LeasesRevoked() - before; n > 0 && c.bus.Enabled(obs.EvLeaseRevoke) {
+		f := obs.AcquireF()
+		f["rank"], f["n"], f["reason"] = int(id), n, reason
+		c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvLeaseRevoke, Fields: f})
+	}
 }
 
 // CrashHottest crashes the live rank with the highest load (last
@@ -721,35 +733,37 @@ func (c *Cluster) ApplyFaults(s fault.Schedule) {
 // is never a takeover source or recovery target — so it is excluded
 // (see DecommissionedRanks).
 func (c *Cluster) DownRanks() []int {
-	var out []int
-	for i, s := range c.servers {
-		if s.State() == mds.RankDown {
-			out = append(out, i)
-		}
-	}
-	return out
+	return c.ranksWhere(func(s *mds.Server) bool { return s.State() == mds.RankDown })
 }
 
 // DrainingRanks returns the ranks currently mid-drain in rank order.
-func (c *Cluster) DrainingRanks() []int {
+func (c *Cluster) DrainingRanks() []int { return c.ranksWhere((*mds.Server).Draining) }
+
+// DecommissionedRanks returns the retired ranks in rank order.
+func (c *Cluster) DecommissionedRanks() []int { return c.ranksWhere((*mds.Server).Decommissioned) }
+
+// ranksWhere returns the ranks whose server satisfies keep, in rank
+// order (nil when none does).
+func (c *Cluster) ranksWhere(keep func(*mds.Server) bool) []int {
 	var out []int
 	for i, s := range c.servers {
-		if s.Draining() {
+		if keep(s) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// DecommissionedRanks returns the retired ranks in rank order.
-func (c *Cluster) DecommissionedRanks() []int {
-	var out []int
-	for i, s := range c.servers {
-		if s.Decommissioned() {
-			out = append(out, i)
+// activeRanks counts the ranks serving and not draining: the ranks
+// that may import subtrees.
+func (c *Cluster) activeRanks() int {
+	n := 0
+	for _, s := range c.servers {
+		if s.Up() && !s.Draining() {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // ServingRanks counts ranks currently serving requests (active or
@@ -899,13 +913,7 @@ func (c *Cluster) StartDrain(rank int) bool {
 	if inboundActive {
 		return false
 	}
-	active := 0
-	for _, s := range c.servers {
-		if s.Up() && !s.Draining() {
-			active++
-		}
-	}
-	if active <= 1 {
+	if c.activeRanks() <= 1 {
 		return false
 	}
 	if !c.servers[rank].StartDrain() {
@@ -925,13 +933,7 @@ func (c *Cluster) StartDrain(rank int) bool {
 		// A draining rank is leaving: its standby copies retire with it
 		// (read leases included) and the re-replicator restores R on
 		// ranks that stay.
-		before := c.rep.LeasesRevoked()
-		c.rep.DropRank(id)
-		if n := c.rep.LeasesRevoked() - before; n > 0 && c.bus.Enabled(obs.EvLeaseRevoke) {
-			f := obs.AcquireF()
-			f["rank"], f["n"], f["reason"] = rank, n, "drain"
-			c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvLeaseRevoke, Fields: f})
-		}
+		c.dropReplicaRank(id, c.tick, "drain")
 	}
 	if c.bus.Enabled(obs.EvDrainStart) {
 		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvDrainStart,
@@ -1032,12 +1034,10 @@ func (c *Cluster) pumpDrains(tick int64) {
 
 // finishDrain decommissions a fully-emptied draining rank.
 func (c *Cluster) finishDrain(id namespace.MDSID, ds *drainState, tick int64) {
-	if c.engine.wb != nil {
-		// Batches of a backing-off client can outlive the drain in the
-		// rank's group-commit journal (live clients re-resolve and move
-		// theirs); re-queue them client-side before the rank retires.
-		c.engine.wbCrashRank(id, tick)
-	}
+	// Batches of a backing-off client can outlive the drain in the
+	// rank's group-commit journal (live clients re-resolve and move
+	// theirs); re-queue them client-side before the rank retires.
+	c.engine.wbCrashRank(id, tick)
 	c.servers[id].Decommission()
 	delete(c.draining, id)
 	c.drainsDone++
@@ -1116,13 +1116,7 @@ func (c *Cluster) SettleDrains(maxTicks int64) int64 {
 	minRanks := c.elastic.Policy().MinRanks
 	limit := c.tick + maxTicks
 	for c.tick < limit {
-		active := 0
-		for _, s := range c.servers {
-			if s.Up() && !s.Draining() {
-				active++
-			}
-		}
-		if len(c.draining) == 0 && active <= minRanks {
+		if len(c.draining) == 0 && c.activeRanks() <= minRanks {
 			break
 		}
 		c.Step()

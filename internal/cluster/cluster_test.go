@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/balancer"
@@ -49,6 +50,26 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Balancer: core.NewDefault()}); err == nil {
 		t.Fatal("missing workload must error")
+	}
+}
+
+// TestNewRejectsNegativeSizes checks that out-of-range sizes from
+// external input come back as errors from New, not as panics deep in
+// the ledger, the workload setup, or the server constructor.
+func TestNewRejectsNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"MDS", Config{MDS: -1}},
+		{"Clients", Config{Clients: -5}},
+		{"Capacity", Config{Capacity: -3}},
+	} {
+		tc.cfg.Balancer, tc.cfg.Workload = core.NewDefault(), smallZipf()
+		_, err := New(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("negative %s: got error %v, want one naming the field", tc.name, err)
+		}
 	}
 }
 

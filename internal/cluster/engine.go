@@ -17,8 +17,10 @@ import (
 // at every worker count (including one — the serial engine is this
 // same code run inline; see runParallel).
 //
-// A tick's serve phase runs in planning phases, each of which executes
-// as a sequence of rounds:
+// serveTick owns the parts of a tick both serve modes share.
+// Write-back (serveBatches, wb.go) runs one plan/admit pass and its
+// rounds with batches in place of runs. The sync mode (serveRuns) runs
+// in planning phases, each of which executes as a sequence of rounds:
 //
 //	plan (parallel over cohorts)
 //	    Each active client routes its whole remaining tick: the queued
@@ -153,14 +155,14 @@ type rankLane struct {
 	tnServed []int64
 	tlat     []metrics.LatencyShard
 	events   []obs.Event
-	fwdOut []int32 // per rank: relay charges buffered this round
-	fwdTch []int32 // ranks with nonzero fwdOut, in first-charge order
-	stalls []int64 // per rank: stall notes buffered this round
-	stallT []int32
-	fwdN   int64 // cluster-level forward count delta
-	downN  int64 // stalled-on-down delta
-	racedN int64 // raced-create delta
-	leaseN int64 // ops served under a read lease this round
+	fwdOut   []int32 // per rank: relay charges buffered this round
+	fwdTch   []int32 // ranks with nonzero fwdOut, in first-charge order
+	stalls   []int64 // per rank: stall notes buffered this round
+	stallT   []int32
+	fwdN     int64 // cluster-level forward count delta
+	downN    int64 // stalled-on-down delta
+	racedN   int64 // raced-create delta
+	leaseN   int64 // ops served under a read lease this round
 	// revokes buffers write-invalidated leased keys; the barrier applies
 	// them (revokeLease) in ascending rank order.
 	revokes []namespace.FragKey
@@ -191,12 +193,12 @@ type engine struct {
 	participated []bool
 	blocked      []bool
 
-	lanes       []*rankLane
-	avail       []int32 // per rank: unreserved serve budget this tick
-	budgetSnap  []int32
-	activeRanks []int
-	rankMark    []uint64
-	roundSeq    uint64
+	lanes      []*rankLane
+	avail      []int32 // per rank: unreserved serve budget this tick
+	budgetSnap []int32
+	roundRanks []int // ranks with work this serve round, ascending
+	rankMark   []uint64
+	roundSeq   uint64
 
 	// The current tick/epoch plus the three fan-out closures, bound
 	// once at construction: handing runParallel a fresh closure every
@@ -209,8 +211,8 @@ type engine struct {
 
 	// wb is the write-back batching state (wb.go), non-nil only when
 	// Config.Batching selects a real batching regime. The degenerate
-	// {BatchSize:1, FlushEvery:1} configuration leaves it nil so the
-	// sync path runs verbatim.
+	// {BatchSize:1, FlushEvery:1} configuration leaves it nil so
+	// serveTick runs the sync serveRuns.
 	wb *wbState
 }
 
@@ -226,7 +228,7 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 		participated: make([]bool, len(c.clients)),
 		blocked:      make([]bool, len(c.clients)),
 	}
-	if c.cfg.DisableParallelEngine || e.workers < 1 {
+	if e.workers < 1 {
 		e.workers = 1
 	}
 	n := len(c.clients)
@@ -236,7 +238,7 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 	}
 	for k := 0; k < numCohorts; k++ {
 		co := &cohort{rand: src.Fork(uint64(100 + k))}
-		if !c.cfg.DisableResolveCache {
+		if !c.cfg.uncachedResolve {
 			co.res = namespace.NewResolver(c.part)
 		}
 		// Contiguous blocks: client i belongs to cohort i*numCohorts/n.
@@ -249,7 +251,7 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 	}
 	e.beginTickFn = func(k int) { e.cohorts[k].beginTick(e) }
 	e.planFn = func(k int) { e.cohorts[k].plan(e, e.tick) }
-	e.serveFn = func(j int) { e.serveRank(e.activeRanks[j], e.tick, e.epoch) }
+	e.serveFn = func(j int) { e.serveRank(e.roundRanks[j], e.tick, e.epoch) }
 	if bc := c.cfg.Batching; bc != nil && (bc.BatchSize > 1 || bc.FlushEvery > 1) {
 		e.wb = newWBState(e, bc)
 	}
@@ -270,7 +272,7 @@ func (e *engine) ensure() {
 		e.budgetSnap = make([]int32, nr)
 		e.avail = make([]int32, nr)
 		e.rankMark = make([]uint64, nr)
-		e.activeRanks = make([]int, 0, nr)
+		e.roundRanks = make([]int, 0, nr)
 	}
 	e.budgetSnap = e.budgetSnap[:nr]
 	e.avail = e.avail[:nr]
@@ -304,14 +306,12 @@ func (e *engine) ensure() {
 	}
 }
 
-// serveTick runs the serve phase of one tick: gating and credit
-// accrual, the routing/serve rounds, latency merge, and job-completion
-// sweep. It replaces the old serial perm-ordered client loop.
+// serveTick runs the serve phase of one tick for both modes: gating
+// and credit accrual, the tick shuffle and budget pools, then the
+// sync plan phases (serveRuns) or the write-back flush/admit pass
+// (serveBatches, wb.go), and finally the latency merge and
+// job-completion sweep.
 func (e *engine) serveTick(tick, epoch int64) {
-	if e.wb != nil {
-		e.serveTickWB(tick, epoch)
-		return
-	}
 	c := e.c
 	e.ensure()
 	e.tick, e.epoch = tick, epoch
@@ -341,6 +341,11 @@ func (e *engine) serveTick(tick, epoch int64) {
 			e.credit[i] = int64(n)
 			anyActive = true
 		}
+		if e.wb != nil && cl.PendingOps() > 0 {
+			// Buffered or journaled ops exist: flush-age triggers and
+			// batch application must run even with no fresh credit.
+			anyActive = true
+		}
 	}
 
 	if anyActive {
@@ -349,31 +354,17 @@ func (e *engine) serveTick(tick, epoch int64) {
 		// its own stream (parallel, cohort-owned).
 		c.rand.ShuffleInts(e.cohortOrder)
 		runParallel(e.workers, len(e.cohorts), e.beginTickFn)
-		for i := range e.blocked {
-			e.blocked[i] = false
-		}
+		clear(e.blocked)
 		// The tick's serve-budget pools, drawn down by admission. One
 		// pool per tick, not per phase: a client that re-plans after a
 		// create competes for what the first phase left.
 		for i, s := range c.servers {
 			e.avail[i] = int32(s.RemainingBudget())
 		}
-
-		for {
-			runParallel(e.workers, len(e.cohorts), e.planFn)
-			if !e.admit() {
-				break
-			}
-			for r := 0; e.scheduleRound(r); r++ {
-				for i, s := range c.servers {
-					e.budgetSnap[i] = int32(s.RemainingBudget())
-				}
-				runParallel(e.workers, len(e.activeRanks), e.serveFn)
-				e.applyBarrier(tick)
-			}
-			if !e.rebuildActive() {
-				break
-			}
+		if e.wb != nil {
+			e.serveBatches(tick)
+		} else {
+			e.serveRuns(tick)
 		}
 	}
 
@@ -396,6 +387,35 @@ func (e *engine) serveTick(tick, epoch int64) {
 			}
 		}
 	}
+}
+
+// serveRuns is the sync serve: plan phases, each admitted and served
+// in rounds, repeated while a client cleanly finished its plan with
+// credit to spare.
+func (e *engine) serveRuns(tick int64) {
+	for {
+		runParallel(e.workers, len(e.cohorts), e.planFn)
+		if !e.admit() {
+			return
+		}
+		for r := 0; e.scheduleRound(r); r++ {
+			e.serveRound(tick, e.serveFn)
+		}
+		if !e.rebuildActive() {
+			return
+		}
+	}
+}
+
+// serveRound runs one scheduled round for either mode: the relay
+// budget snapshot, the parallel serve over e.roundRanks, and the
+// serial barrier.
+func (e *engine) serveRound(tick int64, serve func(int)) {
+	for i, s := range e.c.servers {
+		e.budgetSnap[i] = int32(s.RemainingBudget())
+	}
+	runParallel(e.workers, len(e.roundRanks), serve)
+	e.applyBarrier(tick)
 }
 
 // mergeTenantShards folds every lane's per-tenant served counts and
@@ -441,25 +461,25 @@ func (co *cohort) beginTick(e *engine) {
 	co.active = append(co.active, co.shuffled...)
 }
 
-// resolve returns the entry governing one op: the (cached) governing
-// entry of its target, or, for a create of a not-yet-existing name,
-// the entry that will govern the child once adopted
-// (GoverningChildEntry), so the create is routed to the rank that owns
-// its future home. Promised (unadopted) inodes never reach the
-// resolver: within a round they are visible only through the owning
-// lane's lookaside map.
-func (co *cohort) resolve(e *engine, op workload.Op) namespace.Entry {
+// resolveOp returns the entry governing one op: the (cached, when res
+// is non-nil) governing entry of its target, or, for a create of a
+// not-yet-existing name, the entry that will govern the child once
+// adopted (GoverningChildEntry), so the create is routed to the rank
+// that owns its future home. Promised (unadopted) inodes never reach
+// the resolver: within a round they are visible only through the
+// owning lane's lookaside map.
+func resolveOp(part *namespace.Partition, res *namespace.Resolver, op workload.Op) namespace.Entry {
 	target := op.Target
 	if op.Kind == workload.OpCreate {
 		target = op.Parent.Child(op.Name)
 		if target == nil {
-			return e.c.part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
+			return part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
 		}
 	}
-	if co.res != nil {
-		return co.res.Entry(target)
+	if res != nil {
+		return res.Entry(target)
 	}
-	return e.c.part.GoverningEntry(target)
+	return part.GoverningEntry(target)
 }
 
 // endsRun reports whether op must be the last of its run: a data-path
@@ -491,7 +511,7 @@ func (co *cohort) plan(e *engine, tick int64) {
 			if !ok {
 				break // stream exhausted with an empty queue
 			}
-			ent := co.resolve(e, op)
+			ent := resolveOp(e.c.part, co.res, op)
 			rank := int32(ent.Auth)
 			if lt := e.c.lt; lt != nil && lt.Len() != 0 && !op.Kind.IsWrite() {
 				// A read on a leased subtree may serve at a lease holder
@@ -641,10 +661,10 @@ func (e *engine) scheduleRound(r int) bool {
 	if !any {
 		return false
 	}
-	e.activeRanks = e.activeRanks[:0]
+	e.roundRanks = e.roundRanks[:0]
 	for rank := range e.rankMark {
 		if e.rankMark[rank] == e.roundSeq {
-			e.activeRanks = append(e.activeRanks, rank)
+			e.roundRanks = append(e.roundRanks, rank)
 		}
 	}
 	return true
@@ -730,13 +750,7 @@ func (e *engine) serveRank(rank int, tick, epoch int64) {
 				op, _ := cl.PeekOp(0, tick)
 				st, downRank := e.execOp(lane, auth, cl, op, ents[served], epoch)
 				if st == execStallDown {
-					lane.downN++
-					cl.RetainBackoff(tick, downRank)
-					if c.bus.Enabled(obs.EvBackoffEnter) {
-						f := obs.AcquireF()
-						f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
-						lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
-					}
+					lane.stallDown(c.bus, cl, downRank, tick)
 					blocked = true
 					break
 				}
@@ -745,18 +759,8 @@ func (e *engine) serveRank(rank int, tick, epoch int64) {
 					blocked = true
 					break
 				}
-				if cl.Backoff() > 0 && c.bus.Enabled(obs.EvBackoffExit) {
-					// The op that was backing off finally served: the
-					// client leaves the backoff regime.
-					f := obs.AcquireF()
-					f["client"], f["reason"] = cl.ID, "served"
-					lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
-				}
-				lat := cl.CompleteOp(tick)
-				lane.lat.Add(lat)
+				lane.complete(c.bus, cl, tick)
 				if lane.tnServed != nil {
-					lane.tnServed[cl.Tenant]++
-					lane.tlat[cl.Tenant].Add(lat)
 					auth.AddTenantHeat(ents[served].Key, cl.Tenant, 1)
 				}
 				served++
@@ -847,13 +851,27 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		return execOK, 0
 	}
 	// Cache miss or stale mapping: the request relays along the
-	// authority chain. Relay admission is against the round-start
-	// budget snapshot; the charges are buffered and applied in rank
-	// order at the barrier.
-	chain, _ := c.part.ResolveChainInto(lane.chain, target)
+	// authority chain.
+	if st, h := e.relay(lane, target); st != execOK {
+		return st, h
+	}
+	e.serve(lane, auth, entry, target, epoch, write)
+	e.noteWrite(lane, entry.Key, write)
+	cl.CacheStore(entry.Key, entry.Auth)
+	return execOK, 0
+}
+
+// relay walks the authority chain to target for a request that missed
+// the client cache. Every relaying hop must be up and hold budget in
+// the round-start snapshot; on success the hops' forward charges are
+// buffered for the barrier, which applies them in rank order. It
+// returns the stall status and, for a down hop, that hop's rank.
+func (e *engine) relay(lane *rankLane, target *namespace.Inode) (execStatus, namespace.MDSID) {
+	chain, _ := e.c.part.ResolveChainInto(lane.chain, target)
 	lane.chain = chain[:0]
-	for _, h := range chain[:len(chain)-1] {
-		if !c.servers[h].Up() {
+	hops := chain[:len(chain)-1]
+	for _, h := range hops {
+		if !e.c.servers[h].Up() {
 			lane.noteStall(h)
 			return execStallDown, h
 		}
@@ -862,16 +880,13 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 			return execStall, 0
 		}
 	}
-	for _, h := range chain[:len(chain)-1] {
+	for _, h := range hops {
 		if lane.fwdOut[h] == 0 {
 			lane.fwdTch = append(lane.fwdTch, int32(h))
 		}
 		lane.fwdOut[h]++
 	}
-	lane.fwdN += int64(len(chain) - 1)
-	e.serve(lane, auth, entry, target, epoch, write)
-	e.noteWrite(lane, entry.Key, write)
-	cl.CacheStore(entry.Key, entry.Auth)
+	lane.fwdN += int64(len(hops))
 	return execOK, 0
 }
 
@@ -897,6 +912,44 @@ func (e *engine) noteWrite(lane *rankLane, key namespace.FragKey, write bool) {
 	}
 }
 
+// complete finishes the client's head op on this lane: the
+// backoff-exit event when the op ends a backoff, then the latency
+// sample into the lane's shard and, with tenant QoS on, the tenant's.
+func (lane *rankLane) complete(bus *obs.Bus, cl *client.Client, tick int64) {
+	if cl.Backoff() > 0 && bus.Enabled(obs.EvBackoffExit) {
+		// The op that was backing off finally served: the client
+		// leaves the backoff regime.
+		f := obs.AcquireF()
+		f["client"], f["reason"] = cl.ID, "served"
+		lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
+	}
+	lat := cl.CompleteOp(tick)
+	lane.lat.Add(lat)
+	if lane.tnServed != nil {
+		lane.tnServed[cl.Tenant]++
+		lane.tlat[cl.Tenant].Add(lat)
+	}
+}
+
+// stallDown takes the stall-down path for an attempt that met a down
+// rank: stalled-on-down accounting, capped-exponential client backoff
+// against that rank, and the buffered backoff-enter event.
+func (lane *rankLane) stallDown(bus *obs.Bus, cl *client.Client, rank namespace.MDSID, tick int64) {
+	lane.downN++
+	cl.RetainBackoff(tick, rank)
+	if bus.Enabled(obs.EvBackoffEnter) {
+		lane.events = append(lane.events, backoffEnter(cl, tick))
+	}
+}
+
+// backoffEnter builds the event of a client entering (or widening) its
+// retry backoff.
+func backoffEnter(cl *client.Client, tick int64) obs.Event {
+	f := obs.AcquireF()
+	f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
+	return obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f}
+}
+
 // noteStall buffers one stall note against a rank (applied at the
 // barrier; the per-rank slices are sized lazily because stalls are off
 // the hot path).
@@ -915,7 +968,7 @@ func (lane *rankLane) noteStall(r namespace.MDSID) {
 // cleared, so it can re-plan in the next phase).
 func (e *engine) applyBarrier(tick int64) {
 	c := e.c
-	for _, r := range e.activeRanks {
+	for _, r := range e.roundRanks {
 		lane := e.lanes[r]
 		if e.wb != nil {
 			// Write-back lanes promise creates probe-free; duplicate

@@ -1,103 +1,50 @@
 package cluster
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
-	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
-// runCacheDiff runs a seeded 16-MDS run whose schedule exercises every
-// resolver-invalidation source — balancer splits and migrations, two
-// crashes with orphan takeover, and two recoveries — and returns the
-// run's complete externally visible output: per-tick CSV, per-epoch
-// CSV, and the JSONL event trace.
-func runCacheDiff(t *testing.T, disableCache bool) []byte {
-	t.Helper()
-	var sched fault.Schedule
-	sched.Crash(40, 0).Recover(110, 0).Crash(160, 3).Recover(230, 3)
-	var tr bytes.Buffer
-	sink := obs.NewJSONL(&tr)
-	c := newTestCluster(t, Config{
-		MDS:                 16,
-		Clients:             24,
-		Seed:                11,
-		RecoveryTicks:       12,
-		Faults:              &sched,
-		Workload:            failoverZipf(),
-		Bus:                 obs.NewBus(sink),
-		DisableResolveCache: disableCache,
-	})
-	c.RunUntilDone(30000)
-	if !c.Done() {
-		t.Fatal("clients must finish")
-	}
-	if c.Metrics().MigratedTotal() == 0 {
-		t.Fatal("schedule produced no migrations; the cache was never invalidated by an export")
-	}
-	var out bytes.Buffer
-	if err := c.Metrics().WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Metrics().WriteEpochCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out.Write(tr.Bytes())
-	return out.Bytes()
-}
-
 // TestResolveCacheDifferential is the correctness contract of the
-// version-cached authority resolution: the same seeded failover and
-// migration run with the cache enabled and disabled must produce
-// byte-identical CSVs and event traces. The cache is a pure memo over
-// Partition.GoverningEntry, invalidated by Partition.Version(); any
-// stale-read bug shows up here as a diverging trace.
+// version-cached authority resolution: every engine scenario, plus a
+// shared-directory run that drives directory fragmentation (splits)
+// rather than whole-dir migrations, must produce byte-identical CSVs
+// and event traces with the cache enabled and disabled. The cache is a
+// pure memo over Partition.GoverningEntry, invalidated by
+// Partition.Version(); any stale-read bug shows up here as a diverging
+// trace.
 func TestResolveCacheDifferential(t *testing.T) {
-	cached := runCacheDiff(t, false)
-	uncached := runCacheDiff(t, true)
-	if !bytes.Equal(cached, uncached) {
-		a, b := cached, uncached
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("cached and uncached runs diverge at byte %d:\ncached:   %q\nuncached: %q",
-			i, a[lo:min(i+80, len(a))], b[lo:min(i+80, len(b))])
-	}
-}
-
-// TestResolveCacheDifferentialSharedDir repeats the differential on the
-// shared-directory workload, which drives directory fragmentation
-// (splits) rather than whole-dir migrations.
-func TestResolveCacheDifferentialSharedDir(t *testing.T) {
-	run := func(disable bool) []byte {
-		c := newTestCluster(t, Config{
-			MDS:                 16,
-			Clients:             24,
-			Seed:                11,
-			Workload:            workload.NewMDShared(workload.MDSharedConfig{CreatesPerClient: 4000}),
-			DisableResolveCache: disable,
+	sharedDir := engineScenario{"shareddir", func(cfg *Config) func(*Cluster) {
+		cfg.MDS = 16
+		cfg.Clients = 24
+		cfg.Seed = 11
+		cfg.Workload = workload.NewMDShared(workload.MDSharedConfig{CreatesPerClient: 4000})
+		return nil
+	}}
+	for _, sc := range append(slices.Clip(engineScenarios), sharedDir) {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			var c *Cluster
+			cached := runEngineDiff(t, 1, func(cfg *Config) func(*Cluster) {
+				after := sc.scenario(cfg)
+				return func(built *Cluster) {
+					c = built
+					if after != nil {
+						after(built)
+					}
+				}
+			})
+			if c.Metrics().MigratedTotal() == 0 {
+				t.Fatal("scenario produced no migrations; the cache was never invalidated by an export")
+			}
+			uncached := runEngineDiff(t, 1, func(cfg *Config) func(*Cluster) {
+				after := sc.scenario(cfg)
+				cfg.uncachedResolve = true
+				return after
+			})
+			diffEngineOutputs(t, sc.name+"/uncached", cached, uncached)
 		})
-		c.RunUntilDone(30000)
-		if !c.Done() {
-			t.Fatal("clients must finish")
-		}
-		var out bytes.Buffer
-		if err := c.Metrics().WriteCSV(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
-	if !bytes.Equal(run(false), run(true)) {
-		t.Fatal("cached and uncached shared-dir runs diverge")
 	}
 }

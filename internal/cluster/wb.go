@@ -8,13 +8,14 @@ import (
 	"repro/internal/workload"
 )
 
-// This file implements the write-back tick engine: the batched
-// counterpart of serveTick (engine.go), active when Config.Batching
-// selects a real batching regime (BatchSize > 1 or FlushEvery > 1).
-// The degenerate {1,1} configuration deliberately leaves the write-back
-// state nil so the cluster runs the synchronous control flow verbatim —
-// byte-identity with the sync path is by construction, and the
-// differential test guards it against drift.
+// This file implements the write-back serve: serveBatches, the batched
+// counterpart of serveRuns (engine.go) inside the shared serveTick,
+// active when Config.Batching selects a real batching regime
+// (BatchSize > 1 or FlushEvery > 1). The degenerate {1,1}
+// configuration deliberately leaves the write-back state nil so the
+// cluster runs the synchronous control flow verbatim — byte-identity
+// with the sync path is by construction, and the differential test
+// guards it against drift.
 //
 // The mode changes the client contract: instead of attempting each op
 // synchronously, a client buffers drawn ops locally and flushes them in
@@ -118,85 +119,20 @@ func newWBState(e *engine, bc *BatchingConfig) *wbState {
 		}
 	}
 	w.planFn = func(k int) { e.wbPlanCohort(k, e.tick) }
-	w.serveFn = func(j int) { e.wbServeRank(e.activeRanks[j], e.tick, e.epoch) }
+	w.serveFn = func(j int) { e.wbServeRank(e.roundRanks[j], e.tick, e.epoch) }
 	return w
 }
 
-// serveTickWB is the write-back serve phase: one flush/admit pass and
-// its serve rounds per tick. Pre-phase gating, latency merge, and the
-// completion sweep mirror serveTick exactly.
-func (e *engine) serveTickWB(tick, epoch int64) {
-	c := e.c
+// serveBatches is the write-back serve: one flush/admit pass and its
+// serve rounds per tick, inside serveTick's shared gating and merge.
+func (e *engine) serveBatches(tick int64) {
 	w := e.wb
-	e.ensure()
-	e.tick, e.epoch = tick, epoch
-
-	anyActive := false
-	for i, cl := range c.clients {
-		e.participated[i] = false
-		e.credit[i] = 0
-		if cl.Done() || tick < cl.StartTick() {
-			continue
-		}
-		if !cl.RetryReady(tick) {
-			continue // backing off after failures against a down rank
-		}
-		if cl.Debt() > 0 {
-			cl.PayDebt(c.osds.Consume(cl.Debt()))
-			if cl.Debt() > 0 {
-				continue // still blocked on the data path
-			}
-		}
-		n := cl.AccrueCredit()
-		e.participated[i] = true
-		if n > 0 && !cl.Idle() {
-			e.credit[i] = int64(n)
-			anyActive = true
-		}
-		if cl.PendingOps() > 0 {
-			// Buffered or journaled ops exist: flush-age triggers and
-			// batch application must run even with no fresh credit.
-			anyActive = true
-		}
-	}
-
-	if anyActive {
-		c.rand.ShuffleInts(e.cohortOrder)
-		runParallel(e.workers, len(e.cohorts), e.beginTickFn)
-		for i := range e.blocked {
-			e.blocked[i] = false
-		}
-		for i, s := range c.servers {
-			e.avail[i] = int32(s.RemainingBudget())
-		}
-
-		runParallel(e.workers, len(e.cohorts), w.planFn)
-		e.wbAdmit(tick)
-		for r := 0; r < w.maxRound; r++ {
-			w.round = r
-			e.wbScheduleRound(r)
-			for i, s := range c.servers {
-				e.budgetSnap[i] = int32(s.RemainingBudget())
-			}
-			runParallel(e.workers, len(e.activeRanks), w.serveFn)
-			e.applyBarrier(tick)
-		}
-	}
-
-	for _, lane := range e.lanes {
-		if lane.lat.Dirty() {
-			c.rec.MergeLatencyShard(&lane.lat)
-		}
-	}
-	e.mergeTenantShards()
-	for i, cl := range c.clients {
-		if e.participated[i] && cl.MaybeFinish(tick) {
-			c.doneN++
-			c.rec.AddJCT(tick)
-			if c.tn != nil {
-				c.rec.AddTenantJCT(cl.Tenant, tick)
-			}
-		}
+	runParallel(e.workers, len(e.cohorts), w.planFn)
+	e.wbAdmit(tick)
+	for r := 0; r < w.maxRound; r++ {
+		w.round = r
+		e.wbScheduleRound(r)
+		e.serveRound(tick, w.serveFn)
 	}
 }
 
@@ -272,24 +208,16 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 	var memoEnt namespace.Entry
 	for i < buf {
 		op, _ := cl.PeekOp(base+i, tick)
-		rin := op.Target
-		if op.Kind == workload.OpCreate {
-			rin = op.Parent
-		}
-		if rin != memoIn {
-			memoIn, memoEnt = rin, co.resolve(e, op)
+		if rin := resolveIn(op); rin != memoIn {
+			memoIn, memoEnt = rin, resolveOp(e.c.part, co.res, op)
 		}
 		ent := memoEnt
 		n := 1
 		ends := e.endsRun(cl, op)
 		for !ends && i+n < buf {
 			op2, _ := cl.PeekOp(base+i+n, tick)
-			rin2 := op2.Target
-			if op2.Kind == workload.OpCreate {
-				rin2 = op2.Parent
-			}
-			if rin2 != memoIn {
-				memoIn, memoEnt = rin2, co.resolve(e, op2)
+			if rin2 := resolveIn(op2); rin2 != memoIn {
+				memoIn, memoEnt = rin2, resolveOp(e.c.part, co.res, op2)
 				if memoEnt.Key != ent.Key || memoEnt.Auth != ent.Auth {
 					break // entry switch: the run ends here
 				}
@@ -309,6 +237,15 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 		w.flCount[ci] = cnt
 	}
 	return runs
+}
+
+// resolveIn is the inode an op's resolve depends on: the parent for a
+// create, the target otherwise.
+func resolveIn(op workload.Op) *namespace.Inode {
+	if op.Kind == workload.OpCreate {
+		return op.Parent
+	}
+	return op.Target
 }
 
 // wbAdmit journals the planned flushes and admits each client's
@@ -415,7 +352,9 @@ func (e *engine) wbAdmitClient(k int, ci int32, tick int64) {
 		if !ok {
 			break // cannot happen: journaled ops are queued
 		}
-		ent := e.wbResolveOp(op)
+		// The serial admit phase resolves through the cluster-level
+		// resolver; cohort resolvers belong to the parallel plan phase.
+		ent := resolveOp(c.part, c.resolver, op)
 		if !c.servers[ent.Auth].Up() {
 			// Authority sits on a down rank (orphan window): the batch
 			// stays in its current live journal and the client backs
@@ -526,37 +465,18 @@ func (e *engine) wbStallDown(cl *client.Client, rank namespace.MDSID, tick int64
 	c.stalledDown++
 	cl.RetainBackoff(tick, rank)
 	if c.bus.Enabled(obs.EvBackoffEnter) {
-		f := obs.AcquireF()
-		f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
-		c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
+		c.bus.EmitPooled(backoffEnter(cl, tick))
 	}
 	e.blocked[cl.ID] = true
-}
-
-// wbResolveOp resolves one op's governing entry from the serial admit
-// phase (the cluster-level resolver; cohort resolvers belong to the
-// parallel plan phase).
-func (e *engine) wbResolveOp(op workload.Op) namespace.Entry {
-	target := op.Target
-	if op.Kind == workload.OpCreate {
-		target = op.Parent.Child(op.Name)
-		if target == nil {
-			return e.c.part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
-		}
-	}
-	if e.c.resolver != nil {
-		return e.c.resolver.Entry(target)
-	}
-	return e.c.part.GoverningEntry(target)
 }
 
 // wbScheduleRound collects the ranks with a batch admitted at round r,
 // in ascending rank order (the applyBarrier order contract).
 func (e *engine) wbScheduleRound(r int) {
-	e.activeRanks = e.activeRanks[:0]
+	e.roundRanks = e.roundRanks[:0]
 	for rank, mr := range e.wb.rankRounds {
 		if int(mr) > r {
-			e.activeRanks = append(e.activeRanks, rank)
+			e.roundRanks = append(e.roundRanks, rank)
 		}
 	}
 }
@@ -635,24 +555,7 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 				// the group commit amortizes across the whole run.
 				cached, ok := cl.CacheLookup(entry.Key)
 				if !ok || cached != entry.Auth {
-					chain, _ := c.part.ResolveChainInto(lane.chain, target)
-					lane.chain = chain[:0]
-					hopFail := false
-					for _, h := range chain[:len(chain)-1] {
-						if !c.servers[h].Up() {
-							lane.noteStall(h)
-							status, downRank = execStallDown, h
-							hopFail = true
-							break
-						}
-						if e.budgetSnap[h] <= 0 {
-							lane.noteStall(h)
-							status = execStall
-							hopFail = true
-							break
-						}
-					}
-					if hopFail {
+					if status, downRank = e.relay(lane, target); status != execOK {
 						if fresh {
 							// The op is retained, so un-promise its
 							// create: re-serving it must not find a
@@ -661,13 +564,6 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 						}
 						break
 					}
-					for _, h := range chain[:len(chain)-1] {
-						if lane.fwdOut[h] == 0 {
-							lane.fwdTch = append(lane.fwdTch, int32(h))
-						}
-						lane.fwdOut[h]++
-					}
-					lane.fwdN += int64(len(chain) - 1)
 					cl.CacheStore(entry.Key, entry.Auth)
 				}
 				headDone = true
@@ -703,17 +599,7 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 			}
 			served++
 		}
-		if cl.Backoff() > 0 && c.bus.Enabled(obs.EvBackoffExit) {
-			f := obs.AcquireF()
-			f["client"], f["reason"] = cl.ID, "served"
-			lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
-		}
-		lat := cl.CompleteOp(tick)
-		lane.lat.Add(lat)
-		if lane.tnServed != nil {
-			lane.tnServed[cl.Tenant]++
-			lane.tlat[cl.Tenant].Add(lat)
-		}
+		lane.complete(c.bus, cl, tick)
 		applied++
 		if c.cfg.DataPath && op.DataSize > 0 {
 			cl.AddDebt(op.DataSize)
@@ -749,13 +635,7 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 	}
 	switch {
 	case status == execStallDown:
-		lane.downN++
-		cl.RetainBackoff(tick, downRank)
-		if c.bus.Enabled(obs.EvBackoffEnter) {
-			f := obs.AcquireF()
-			f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
-			lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
-		}
+		lane.stallDown(c.bus, cl, downRank, tick)
 		e.blocked[cl.ID] = true
 	case status == execStall:
 		cl.Retain()
@@ -773,7 +653,11 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 // batch in it re-queues the owning client's whole outstanding suffix
 // (see wbRequeueFrom), then the journal resets. Called from CrashMDS,
 // so requeue events interleave deterministically with the crash event.
+// A no-op outside write-back mode.
 func (e *engine) wbCrashRank(id namespace.MDSID, tick int64) {
+	if e.wb == nil {
+		return
+	}
 	j := e.c.servers[id].Journal()
 	j.Each(func(b *mds.Batch) {
 		e.wbRequeueFrom(b, tick)

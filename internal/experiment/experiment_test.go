@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -13,6 +14,36 @@ func quick(t *testing.T, id string) *Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestNameAliases checks the command-line name lookup: every alias
+// resolves case-insensitively to a name the constructors accept, and
+// an unknown name is an error, not a constructor panic.
+func TestNameAliases(t *testing.T) {
+	for alias := range workloadAliases {
+		name, err := WorkloadName(strings.ToUpper(alias))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if MakeWorkload(name, 0.01) == nil {
+			t.Fatalf("workload %q built nothing", name)
+		}
+	}
+	for alias := range balancerAliases {
+		name, err := BalancerName(strings.ToUpper(alias))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if MakeBalancer(name) == nil {
+			t.Fatalf("balancer %q built nothing", name)
+		}
+	}
+	if _, err := WorkloadName("nope"); err == nil {
+		t.Fatal("unknown workload must error")
+	}
+	if _, err := BalancerName("nope"); err == nil {
+		t.Fatal("unknown balancer must error")
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
