@@ -86,7 +86,8 @@ type engineScenario struct {
 // differentials: failover (crashes, orphan takeover, recoveries),
 // elastic (a rank joining mid-run and another draining out),
 // replication (warm standbys promoted over a crash), and write-back,
-// lease and tenancy runs, each with a mid-run crash.
+// lease and tenancy runs, each with a mid-run crash, and a shared-
+// directory create storm that fragments its directory.
 var engineScenarios = []engineScenario{
 	{"failover", func(cfg *Config) func(*Cluster) {
 		var sched fault.Schedule
@@ -202,6 +203,18 @@ var engineScenarios = []engineScenario{
 		cfg.Batching = &BatchingConfig{BatchSize: 8, FlushEvery: 4}
 		return nil
 	}},
+	{"shareddir", func(cfg *Config) func(*Cluster) {
+		// A shared-directory create storm: the balancer splits the hot
+		// directory into fragments instead of migrating whole subtrees,
+		// so dirfrag splits, child-hash routing of creates and fragment
+		// exports all have to reproduce byte-identically at every
+		// worker count.
+		cfg.MDS = 16
+		cfg.Clients = 24
+		cfg.Seed = 11
+		cfg.Workload = workload.NewMDShared(workload.MDSharedConfig{CreatesPerClient: 4000})
+		return nil
+	}},
 }
 
 // engineScenarioDigests pins the complete output of every scenario
@@ -217,6 +230,7 @@ var engineScenarioDigests = map[string]string{
 	"leases":          "91d73cc92b8fb20297dc53558d4ffb2631690d315788f6c7103bc6d7799a09b6",
 	"tenants":         "8e99465160a8ee91c2f55cd0f2285d175c15363f254c1be9ffad24d58268d10b",
 	"batched-tenants": "637d1ad65996679af55f33ef3f77d62cefccaa6958995c5abbc6d77eea5802d0",
+	"shareddir":       "d3e4a469a7bce10d6d2246ddec0462c9531f2cd20ee10d44996ad57085d0dffe",
 }
 
 // TestEngineScenarioDigests turns "byte-identical to before" into a
@@ -231,6 +245,43 @@ func TestEngineScenarioDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSharedDirScenarioSplits keeps the shareddir scenario honest: its
+// digest only covers dirfrag splits if the run still splits a fragment.
+func TestSharedDirScenarioSplits(t *testing.T) {
+	var c *Cluster
+	runEngineDiff(t, 1, func(cfg *Config) func(*Cluster) {
+		after := engineScenarioNamed(t, "shareddir")(cfg)
+		return func(built *Cluster) {
+			c = built
+			if after != nil {
+				after(built)
+			}
+		}
+	})
+	frags := 0
+	for _, e := range c.part.Entries() {
+		if !e.Key.Frag.IsWhole() {
+			frags++
+		}
+	}
+	if frags == 0 {
+		t.Fatal("shareddir ended with no fragment entries; the scenario no longer splits")
+	}
+	t.Logf("%d fragment entries at the end of the run", frags)
+}
+
+// engineScenarioNamed returns the named scenario of engineScenarios.
+func engineScenarioNamed(t *testing.T, name string) func(*Config) func(*Cluster) {
+	t.Helper()
+	for _, sc := range engineScenarios {
+		if sc.name == name {
+			return sc.scenario
+		}
+	}
+	t.Fatalf("no engine scenario %q", name)
+	return nil
 }
 
 // TestParallelEngineDifferential is the correctness contract of the
