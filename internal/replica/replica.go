@@ -681,15 +681,6 @@ func (m *Manager) LeaseHolders(key namespace.FragKey) []namespace.MDSID {
 	return out
 }
 
-// LiveLeases counts the live leases across every group.
-func (m *Manager) LiveLeases() int {
-	n := 0
-	for _, k := range m.order {
-		n += len(m.groups[k].Leases)
-	}
-	return n
-}
-
 // LeaseVersion bumps on every change to lease membership; the cluster
 // uses it to know when to rebuild its lease routing table.
 func (m *Manager) LeaseVersion() uint64 { return m.leaseVersion }

@@ -87,9 +87,6 @@ func NewCollector(history int) *Collector {
 	return &Collector{history: history, ring: ring, epoch: -1}
 }
 
-// History returns the configured window count N.
-func (c *Collector) History() int { return c.history }
-
 // Epoch returns the current epoch.
 func (c *Collector) Epoch() int64 { return c.epoch }
 
