@@ -64,10 +64,9 @@ func mustDir(t testing.TB, tree *namespace.Tree, path string) *namespace.Inode {
 func TestAuditorHealthyState(t *testing.T) {
 	tree, part, mig, servers := fixture(t, 2)
 	part.Carve(mustDir(t, tree, "/b"))
-	a := New(Options{ResolveSamples: 16})
+	a := New(Options{})
 	state := State{
 		Tick: 5, Tree: tree, Partition: part,
-		Resolver: namespace.NewResolver(part),
 		Migrator: mig, Servers: servers,
 	}
 	if n := a.Check(state); n != 0 {
@@ -199,7 +198,6 @@ func leaseFixture(t *testing.T) (State, *replica.Manager, namespace.FragKey) {
 	mgr.Pump(1, env)
 	state := State{
 		Tick: 9, Tree: tree, Partition: part,
-		Resolver: namespace.NewResolver(part),
 		Migrator: mig, Servers: servers, Replicas: mgr,
 	}
 	return state, mgr, e.Key
@@ -275,7 +273,6 @@ func tenantFixture(t *testing.T) (State, *tenant.Manager) {
 	tn.NoteAdmitted(1, tn.Take(1, 3))
 	state := State{
 		Tick: 9, Tree: tree, Partition: part,
-		Resolver: namespace.NewResolver(part),
 		Migrator: mig, Servers: servers,
 		Tenancy:        tn,
 		TenantAdmitted: 9,

@@ -134,13 +134,6 @@ type Config struct {
 	// run dry produces a byte-identical run (the differential tests
 	// prove both).
 	Tenancy *tenant.Manager
-
-	// uncachedResolve turns off the version-cached authority resolvers
-	// and resolves every op with a full ancestor walk. The cache is
-	// semantically invisible (it is invalidated by Partition.Version on
-	// every mutation), so this reference path exists only for the
-	// differential tests that prove it.
-	uncachedResolve bool
 }
 
 // BatchingConfig shapes the write-back mode.
@@ -208,7 +201,6 @@ type Cluster struct {
 
 	tree     *namespace.Tree
 	part     *namespace.Partition
-	resolver *namespace.Resolver // nil when cfg.uncachedResolve
 	servers  []*mds.Server
 	migrator *mds.Migrator
 	clients  []*client.Client
@@ -349,9 +341,6 @@ func New(cfg Config) (*Cluster, error) {
 		pins:      make(map[namespace.FragKey]int),
 	}
 	cl.orphanFn = func(id namespace.MDSID) bool { return cl.orphaned[id] }
-	if !cfg.uncachedResolve {
-		cl.resolver = namespace.NewResolver(part)
-	}
 	for i := 0; i < cfg.MDS; i++ {
 		capacity := cfg.Capacity
 		if i < len(cfg.PerMDSCapacity) && cfg.PerMDSCapacity[i] > 0 {
@@ -695,8 +684,6 @@ func (c *Cluster) CrashPathOwner(path string) int {
 	var entry namespace.Entry
 	if e, ok := c.part.EntryAt(namespace.FragKey{Dir: in.Ino, Frag: namespace.WholeFrag}); ok {
 		entry = e
-	} else if c.resolver != nil {
-		entry = c.resolver.Entry(in)
 	} else {
 		entry = c.part.GoverningEntry(in)
 	}
@@ -1213,7 +1200,6 @@ func (c *Cluster) Step() {
 			Tick:              tick,
 			Tree:              c.tree,
 			Partition:         c.part,
-			Resolver:          c.resolver,
 			Migrator:          c.migrator,
 			Servers:           c.servers,
 			Clients:           c.clients,

@@ -7,8 +7,7 @@ import "repro/internal/namespace"
 // client's pending queue — the client stays the source of truth until
 // the batch is applied — so a Batch is pure routing + accounting state:
 // which client, how many ops, and the governing entry resolved for the
-// batch's first op (one resolver chain walk per batch instead of per
-// op). A batch whose rank crashes before application is dropped and its
+// batch's first op (one partition walk per batch instead of per op). A batch whose rank crashes before application is dropped and its
 // ops re-queue client-side exactly once (see Journal.Each / Drop).
 type Batch struct {
 	Client int             // owning client ID

@@ -3,18 +3,23 @@
 // Steady-state allocation contracts for the hot resolution path. The
 // assertions use testing.AllocsPerRun, which is meaningless under the
 // race detector (the runtime inserts extra allocations), so this file
-// is excluded from `make race` / `make check`.
+// is excluded from `make race`; `make alloc` runs it without -race.
 
 package namespace
 
 import "testing"
 
-func TestResolverEntryZeroAlloc(t *testing.T) {
+// TestGoverningEntryZeroAlloc covers the resolution every op takes:
+// GoverningEntry for an existing target and GoverningChildEntry for a
+// create of a name its parent does not hold yet.
+func TestGoverningEntryZeroAlloc(t *testing.T) {
 	_, p, leaf := benchPartition(t)
-	r := NewResolver(p)
-	r.Entry(leaf) // warm the slot
-	if n := testing.AllocsPerRun(100, func() { r.Entry(leaf) }); n != 0 {
-		t.Fatalf("Resolver.Entry allocates %.1f per call in the steady state, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { p.GoverningEntry(leaf) }); n != 0 {
+		t.Fatalf("GoverningEntry allocates %.1f per call, want 0", n)
+	}
+	h := HashName("new")
+	if n := testing.AllocsPerRun(100, func() { p.GoverningChildEntry(leaf.Parent, h) }); n != 0 {
+		t.Fatalf("GoverningChildEntry allocates %.1f per call, want 0", n)
 	}
 }
 

@@ -29,27 +29,14 @@ func benchPartition(b testing.TB) (*Tree, *Partition, *Inode) {
 	return tr, p, leaf
 }
 
-// BenchmarkGoverningEntry is the uncached per-op resolution the serve
-// path used before the resolver cache: a parent walk per call.
+// BenchmarkGoverningEntry is the per-op authority resolution of the
+// serve path: a parent walk per call.
 func BenchmarkGoverningEntry(b *testing.B) {
 	_, p, leaf := benchPartition(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.GoverningEntry(leaf)
-	}
-}
-
-// BenchmarkResolverEntry is the cached replacement: one version check
-// and one slice index per call in the steady state.
-func BenchmarkResolverEntry(b *testing.B) {
-	_, p, leaf := benchPartition(b)
-	r := NewResolver(p)
-	r.Entry(leaf) // warm the slot
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Entry(leaf)
 	}
 }
 

@@ -1,6 +1,6 @@
 package namespace
 
-// LeaseTable is the resolver-side index of live read leases: for each
+// LeaseTable is the engine's index of live read leases: for each
 // leased subtree entry, the ranks currently allowed to serve its reads.
 // It is the routing mirror of the replica manager's lease state — the
 // manager owns grant/revoke/expiry truth, the cluster copies the holder
@@ -9,10 +9,10 @@ package namespace
 // runs to a lease holder. Holder slices are stored sorted by rank, so
 // candidate enumeration is deterministic.
 //
-// Like the Resolver, the table is single-writer: only the cluster's
-// serial sections mutate it (epoch-close grants, barrier-applied write
-// revokes, the pre-serve sync after crash/drain events), and the
-// parallel plan phase only reads it.
+// The table is single-writer: only the cluster's serial sections mutate
+// it (epoch-close grants, barrier-applied write revokes, the pre-serve
+// sync after crash/drain events), and the parallel plan phase only
+// reads it.
 type LeaseTable struct {
 	holders map[FragKey][]MDSID
 	version uint64
