@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/elastic"
 	"repro/internal/fault"
 	"repro/internal/replica"
 	"repro/internal/rng"
@@ -181,5 +183,58 @@ func TestWriteBackChurnWithReplication(t *testing.T) {
 	}
 	if c.racedCreates != 0 {
 		t.Fatalf("%d raced creates under churn: some batch re-applied", c.racedCreates)
+	}
+}
+
+// TestWriteBackStaleBatchSingleWriter runs the first 80 ticks of a
+// mixed-churn cell (the paper's Mixed workload with write-back, leased
+// R=2 standbys, MTBF crashes and autoscaling; seed 3). In it the
+// partition changes under a journaled batch whose ops span both halves
+// of a split directory. Admission re-resolves only the batch's first
+// op, so the batch's lane serves inodes that the other half's
+// authority serves in the same round. Their per-inode access state
+// must still have a single writer: under -race the detector is the
+// oracle, and at every worker count the run must be byte-identical to
+// the inline one.
+func TestWriteBackStaleBatchSingleWriter(t *testing.T) {
+	run := func(workers int) []byte {
+		const seed = 3
+		rp := replica.DefaultPolicy()
+		rp.LeaseTicks = 40
+		rp.ReplicateReadFrac = 0.75
+		ep := elastic.DefaultPolicy()
+		ep.MinRanks, ep.MaxRanks = 4, 8
+		faults := fault.MTBF(fault.MTBFConfig{Ranks: 4, MTBF: 600, Horizon: 6000},
+			rng.New(seed).Fork(99))
+		c := newTestCluster(t, Config{
+			MDS:         4,
+			Clients:     112,
+			EpochTicks:  10,
+			Seed:        seed,
+			Workers:     workers,
+			Faults:      &faults,
+			Elastic:     elastic.MustController(ep),
+			Replication: replica.MustManager(rp),
+			Batching:    &BatchingConfig{BatchSize: 8, FlushEvery: 32},
+			Workload: workload.NewMixed(
+				workload.NewCNN(workload.CNNConfig{Dirs: 300, FilesPerDir: 12}),
+				workload.NewNLP(workload.NLPConfig{FilesPerDir: 140}),
+				workload.NewWeb(workload.WebConfig{Files: 4500, RequestsPerClient: 7000}),
+				workload.NewZipf(workload.ZipfConfig{OpsPerClient: 14000}),
+			),
+		})
+		c.Run(80)
+		var out bytes.Buffer
+		if err := c.Metrics().WriteCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Metrics().WriteEpochCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	base := run(1)
+	for _, w := range engineWorkerCounts[1:] {
+		diffEngineOutputs(t, "workers="+string(rune('0'+w)), base, run(w))
 	}
 }
