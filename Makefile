@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all fmt build test vet race check bench gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all fmt build test vet race alloc check bench gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -17,14 +17,20 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# alloc runs the steady-state allocation contracts of the resolution
+# and serve paths. They are built only without -race (AllocsPerRun
+# miscounts under the race detector), so `race` never runs them.
+alloc:
+	$(GO) test -count=1 -run ZeroAlloc ./internal/namespace ./internal/mds
+
 # fmt fails when any tracked Go file is not gofmt-formatted.
 fmt:
 	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# check is the full gate: formatting, compile, vet, and the test suite
-# under the race detector.
-check: fmt build vet race
+# check is the full gate: formatting, compile, vet, the allocation
+# contracts, and the test suite under the race detector.
+check: fmt build vet alloc race
 
 # bench runs the tick-loop benchmark matrix — the serial cells plus the
 # parallel-engine workers axis (1,2,4,8 by default, see
