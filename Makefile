@@ -86,12 +86,15 @@ gobench:
 	$(GO) test -bench=. -benchmem ./...
 
 # fuzz smokes each fuzz target for a short budget with the invariant
-# checks as the oracle (long campaigns: raise FUZZTIME).
+# checks as the oracle, plus the trace-file parser with "accepted
+# traces build and replay" as its oracle (long campaigns: raise
+# FUZZTIME).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzPartitionOps -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -fuzz=FuzzFragSplitMerge -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -fuzz=FuzzMigratorLifecycle -fuzztime=$(FUZZTIME) ./internal/audit
+	$(GO) test -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/workload
 
 # audit runs the audited failover suite (every experiment run carries
 # the state auditor; any invariant violation fails) plus the fuzz smoke.

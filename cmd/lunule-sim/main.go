@@ -104,6 +104,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "error: %v\n", err)
 		return 1
 	}
+	// Negated comparisons reject NaN as well.
+	switch {
+	case !(*rate >= 0):
+		return fail(fmt.Errorf("-rate must be >= 0, got %v", *rate))
+	case !(*scale > 0):
+		return fail(fmt.Errorf("-scale must be > 0, got %v", *scale))
+	case *ticks <= 0:
+		return fail(fmt.Errorf("-maxticks must be > 0, got %d", *ticks))
+	}
 
 	var name string
 	var gen workload.Generator

@@ -102,9 +102,15 @@ func TestBadInputErrors(t *testing.T) {
 		{"-capacity", "-3"},
 		{"-workload", "nope"},
 		{"-balancer", "nope"},
+		{"-rate", "-5"},
+		{"-rate", "NaN"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-maxticks", "0"},
+		{"-maxticks", "-5"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(append(args, "-maxticks", "5"), &stdout, &stderr); code != 1 {
+		if code := run(append([]string{"-maxticks", "5"}, args...), &stdout, &stderr); code != 1 {
 			t.Errorf("%v: exit %d, want 1", args, code)
 		}
 		if !strings.HasPrefix(stderr.String(), "error: ") {

@@ -40,13 +40,11 @@ type Options struct {
 	// close. Epoch cadence catches everything eventually; tick cadence
 	// pins a violation to the tick that introduced it.
 	EveryTick bool
-	// MaxViolations caps the retained violations (0 = default 100);
-	// checks keep running after the cap but stop recording.
-	MaxViolations int
-	// OnViolation, when set, is called for each violation as it is
-	// found (e.g. to fail a test immediately with context).
-	OnViolation func(Violation)
 }
+
+// maxViolations caps the retained violations; checks keep running
+// after the cap but stop recording.
+const maxViolations = 100
 
 // Auditor runs invariant checks over cluster state. The zero value is
 // not useful; construct with New. A nil *Auditor is valid and disabled:
@@ -57,11 +55,8 @@ type Auditor struct {
 	violations []Violation
 }
 
-// New creates an auditor. Zero option fields take their defaults.
+// New creates an auditor.
 func New(opt Options) *Auditor {
-	if opt.MaxViolations <= 0 {
-		opt.MaxViolations = 100
-	}
 	return &Auditor{opt: opt}
 }
 
@@ -96,12 +91,13 @@ func (a *Auditor) Err() error {
 }
 
 func (a *Auditor) failf(tick int64, check, format string, args ...any) {
-	v := Violation{Tick: tick, Check: check, Msg: fmt.Sprintf(format, args...)}
-	if len(a.violations) < a.opt.MaxViolations {
+	a.record(Violation{Tick: tick, Check: check, Msg: fmt.Sprintf(format, args...)})
+}
+
+// record keeps v unless the cap is reached.
+func (a *Auditor) record(v Violation) {
+	if len(a.violations) < maxViolations {
 		a.violations = append(a.violations, v)
-	}
-	if a.opt.OnViolation != nil {
-		a.opt.OnViolation(v)
 	}
 }
 
@@ -426,12 +422,7 @@ func (a *Auditor) checkLifecycle(s State) {
 func (a *Auditor) checkPartition(s State) {
 	for _, v := range CheckPartition(s.Tree, s.Partition) {
 		v.Tick = s.Tick
-		if len(a.violations) < a.opt.MaxViolations {
-			a.violations = append(a.violations, v)
-		}
-		if a.opt.OnViolation != nil {
-			a.opt.OnViolation(v)
-		}
+		a.record(v)
 	}
 	orphaned := s.Orphaned
 	if orphaned == nil {
@@ -458,12 +449,7 @@ func (a *Auditor) checkPartition(s State) {
 func (a *Auditor) checkFrozen(s State) {
 	for _, v := range CheckMigrator(s.Migrator, s.Tick) {
 		v.Tick = s.Tick
-		if len(a.violations) < a.opt.MaxViolations {
-			a.violations = append(a.violations, v)
-		}
-		if a.opt.OnViolation != nil {
-			a.opt.OnViolation(v)
-		}
+		a.record(v)
 	}
 }
 

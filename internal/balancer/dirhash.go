@@ -11,17 +11,17 @@ import (
 // not — and path traversal crosses many authority boundaries, inflating
 // forwards (Figure 14).
 type DirHash struct {
-	// MaxDepth bounds how deep the pinner descends; a directory is
-	// pinned when it has no sub-directories (a leaf, the finest
-	// grain) or when it sits at MaxDepth.
-	MaxDepth int
-
 	pinnedVersion uint64
 	initialized   bool
 }
 
+// dirHashMaxDepth bounds how deep the pinner descends; a directory is
+// pinned when it has no sub-directories (a leaf, the finest grain) or
+// when it sits at this depth.
+const dirHashMaxDepth = 4
+
 // NewDirHash returns the static pinning policy.
-func NewDirHash() *DirHash { return &DirHash{MaxDepth: 4} }
+func NewDirHash() *DirHash { return &DirHash{} }
 
 // Name implements Balancer.
 func (b *DirHash) Name() string { return "Dir-Hash" }
@@ -64,7 +64,7 @@ func (b *DirHash) pin(v View) {
 					break
 				}
 			}
-			if !hasSubdirs || depth+1 >= b.MaxDepth {
+			if !hasSubdirs || depth+1 >= dirHashMaxDepth {
 				pin(ch)
 				continue
 			}

@@ -12,19 +12,20 @@ import (
 // urgency — which is why the paper measures it as the worst balancer
 // (IF close to 1 on most workloads).
 type GreedySpill struct {
-	// IdleThreshold is the load below which the neighbour counts as
-	// idle (ops/sec).
-	IdleThreshold float64
-	// CandidateLimit bounds candidate enumeration.
-	CandidateLimit int
-
 	bus *obs.Bus
 }
 
-// NewGreedySpill returns the policy with the Mantle defaults.
-func NewGreedySpill() *GreedySpill {
-	return &GreedySpill{IdleThreshold: 1, CandidateLimit: 64}
-}
+// GreedySpill's fixed knobs, the Mantle defaults.
+const (
+	// spillIdleThreshold is the load at or below which the neighbour
+	// counts as idle (ops/sec).
+	spillIdleThreshold = 1
+	// spillCandidateLimit bounds candidate enumeration.
+	spillCandidateLimit = 64
+)
+
+// NewGreedySpill returns the policy.
+func NewGreedySpill() *GreedySpill { return &GreedySpill{} }
 
 // Name implements Balancer.
 func (b *GreedySpill) Name() string { return "GreedySpill" }
@@ -59,7 +60,7 @@ func (b *GreedySpill) Rebalance(v View) {
 		if neighbour == ex {
 			continue
 		}
-		if loads[i] <= b.IdleThreshold || loads[neighbour] > b.IdleThreshold {
+		if loads[i] <= spillIdleThreshold || loads[neighbour] > spillIdleThreshold {
 			continue
 		}
 		if b.bus.Enabled(obs.EvTrigger) {
@@ -69,7 +70,7 @@ func (b *GreedySpill) Rebalance(v View) {
 			}})
 		}
 		// Ship half of my load to the idle neighbour.
-		for _, c := range HeatSelect(v, ex, 0.5, b.CandidateLimit) {
+		for _, c := range HeatSelect(v, ex, 0.5, spillCandidateLimit) {
 			SubmitCandidate(v, c, ex, neighbour)
 		}
 	}

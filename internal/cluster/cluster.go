@@ -43,27 +43,13 @@ type Config struct {
 	PerMDSCapacity []int
 	// EpochTicks is the balancing epoch length (paper default: 10 s).
 	EpochTicks int
-	// MigrationRate is how many inodes an exporter ships per tick.
-	MigrationRate int
-	// MaxActiveExports bounds concurrent exports per exporter.
-	MaxActiveExports int
-	// QueueTTLTicks expires queued (unstarted) export tasks.
-	QueueTTLTicks int64
-	// ExportLatencyTicks is the fixed two-phase-commit floor cost of
-	// one export, regardless of subtree size.
-	ExportLatencyTicks int64
-	// HeatDecay is the per-epoch popularity decay (CephFS-style).
-	HeatDecay float64
-	// HistoryWindows is the trace collector depth (cutting windows).
-	HistoryWindows int
 	// Clients is the number of workload clients.
 	Clients int
 	// ClientRate is the base ops per tick per client.
 	ClientRate float64
-	// DataPath enables the OSD data path (end-to-end experiments).
+	// DataPath enables the OSD data path (end-to-end experiments) on a
+	// pool of dataOSDs OSDs.
 	DataPath bool
-	// OSDs is the data pool size when DataPath is on.
-	OSDs int
 	// OSDBandwidth is bytes per tick per OSD.
 	OSDBandwidth int64
 	// Seed drives all randomness in the run.
@@ -147,6 +133,28 @@ type BatchingConfig struct {
 	FlushEvery int64
 }
 
+// The deployment's fixed parameters.
+const (
+	// migrationRate is how many inodes an exporter ships per tick.
+	migrationRate = 2000
+	// maxActiveExports bounds concurrent exports per exporter.
+	maxActiveExports = 2
+	// queueTTLTicks expires queued (unstarted) export tasks.
+	queueTTLTicks = 20
+	// exportLatencyTicks is the fixed two-phase-commit floor cost of
+	// one export, regardless of subtree size.
+	exportLatencyTicks = 4
+	// heatDecay is the per-epoch popularity decay (CephFS-style). The
+	// decay is slow: the accumulated popularity counter the paper
+	// criticizes — heat keeps ranking already-scanned (dead) subtrees
+	// above the live scan front for minutes.
+	heatDecay = 0.97
+	// historyWindows is the trace collector depth (cutting windows).
+	historyWindows = 6
+	// dataOSDs is the data pool size when DataPath is on.
+	dataOSDs = 6
+)
+
 func (c *Config) defaults() {
 	if c.MDS == 0 {
 		c.MDS = 5
@@ -157,35 +165,11 @@ func (c *Config) defaults() {
 	if c.EpochTicks == 0 {
 		c.EpochTicks = 10
 	}
-	if c.MigrationRate == 0 {
-		c.MigrationRate = 2000
-	}
-	if c.MaxActiveExports == 0 {
-		c.MaxActiveExports = 2
-	}
-	if c.QueueTTLTicks == 0 {
-		c.QueueTTLTicks = 20
-	}
-	if c.ExportLatencyTicks == 0 {
-		c.ExportLatencyTicks = 4
-	}
-	if c.HeatDecay == 0 {
-		// Slow decay: the accumulated popularity counter the paper
-		// criticizes — heat keeps ranking already-scanned (dead)
-		// subtrees above the live scan front for minutes.
-		c.HeatDecay = 0.97
-	}
-	if c.HistoryWindows == 0 {
-		c.HistoryWindows = 6
-	}
 	if c.Clients == 0 {
 		c.Clients = 40
 	}
 	if c.ClientRate == 0 {
 		c.ClientRate = 150
-	}
-	if c.OSDs == 0 {
-		c.OSDs = 6
 	}
 	if c.OSDBandwidth == 0 {
 		c.OSDBandwidth = 64 << 20 // 64 MB per OSD per tick
@@ -304,6 +288,8 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: Clients must be >= 0, got %d", cfg.Clients)
 	case cfg.Capacity < 0:
 		return nil, fmt.Errorf("cluster: Capacity must be >= 0, got %d", cfg.Capacity)
+	case !(cfg.ClientRate >= 0): // NaN too
+		return nil, fmt.Errorf("cluster: ClientRate must be >= 0, got %v", cfg.ClientRate)
 	}
 	if cfg.Balancer == nil {
 		return nil, errors.New("cluster: config requires a balancer")
@@ -327,7 +313,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:       cfg,
 		tree:      tree,
 		part:      part,
-		osds:      osd.NewPool(cfg.OSDs, cfg.OSDBandwidth),
+		osds:      osd.NewPool(dataOSDs, cfg.OSDBandwidth),
 		ledger:    msg.NewLedger(cfg.MDS),
 		rand:      src.Fork(2),
 		rec:       metrics.NewRecorder(cfg.MDS),
@@ -347,10 +333,10 @@ func New(cfg Config) (*Cluster, error) {
 			capacity = cfg.PerMDSCapacity[i]
 		}
 		cl.servers = append(cl.servers,
-			mds.NewServer(namespace.MDSID(i), capacity, cfg.HistoryWindows, cfg.HeatDecay))
+			mds.NewServer(namespace.MDSID(i), capacity, historyWindows, heatDecay))
 	}
-	cl.migrator = mds.NewMigrator(part, cfg.MigrationRate, cfg.MaxActiveExports, cfg.QueueTTLTicks)
-	cl.migrator.MinTicks = cfg.ExportLatencyTicks
+	cl.migrator = mds.NewMigrator(part, migrationRate, maxActiveExports, queueTTLTicks)
+	cl.migrator.MinTicks = exportLatencyTicks
 	cl.migrator.Bus = cfg.Bus
 	if bc, ok := cfg.Balancer.(obs.BusCarrier); ok {
 		bc.SetBus(cfg.Bus)
@@ -866,7 +852,7 @@ func (c *Cluster) reassignOrphans(dead namespace.MDSID, crashedAt int64) {
 // AddMDS immediately grows the cluster by one server and returns it.
 func (c *Cluster) AddMDS() *mds.Server {
 	id := namespace.MDSID(len(c.servers))
-	s := mds.NewServer(id, c.cfg.Capacity, c.cfg.HistoryWindows, c.cfg.HeatDecay)
+	s := mds.NewServer(id, c.cfg.Capacity, historyWindows, heatDecay)
 	if c.tn != nil {
 		s.EnableTenants(c.tn.N())
 	}
@@ -1239,7 +1225,7 @@ func (c *Cluster) endEpoch(tick, epoch int64) {
 	}
 	c.liveLoads = liveLoads[:0]
 	c.rankEpochs += int64(len(liveLoads))
-	res := core.IFModel{}.Compute(liveLoads, float64(c.cfg.Capacity))
+	res := core.ComputeIF(liveLoads, float64(c.cfg.Capacity))
 	c.rec.SampleEpoch(tick, res.IF, res.CoV)
 	if c.bus.Enabled(obs.EvEpoch) {
 		f := obs.AcquireF()
@@ -1303,7 +1289,7 @@ func (v *view) Importable(id namespace.MDSID) bool { return v.c.importable(id) }
 func (v *view) Partition() *namespace.Partition    { return v.c.part }
 func (v *view) Migrator() *mds.Migrator            { return v.c.migrator }
 func (v *view) Capacity() float64                  { return float64(v.c.cfg.Capacity) }
-func (v *view) HeatDecay() float64                 { return v.c.cfg.HeatDecay }
+func (v *view) HeatDecay() float64                 { return heatDecay }
 func (v *view) Rand() *rng.Source                  { return v.c.rand }
 func (v *view) Ledger() *msg.Ledger                { return v.c.ledger }
 

@@ -64,6 +64,7 @@ func TestNewRejectsNegativeSizes(t *testing.T) {
 		{"MDS", Config{MDS: -1}},
 		{"Clients", Config{Clients: -5}},
 		{"Capacity", Config{Capacity: -3}},
+		{"ClientRate", Config{ClientRate: -5}},
 	} {
 		tc.cfg.Balancer, tc.cfg.Workload = core.NewDefault(), smallZipf()
 		_, err := New(tc.cfg)
@@ -212,8 +213,7 @@ func TestDataPathSlowsCompletion(t *testing.T) {
 
 	withData := base
 	withData.DataPath = true
-	withData.OSDs = 1
-	withData.OSDBandwidth = 4 << 20 // starve the data path
+	withData.OSDBandwidth = (4 << 20) / 6 // starve the data path: 4 MB per tick over six OSDs
 	cData := newTestCluster(t, withData)
 	cData.RunUntilDone(20000)
 
@@ -277,12 +277,16 @@ func TestMessageLedgerPopulated(t *testing.T) {
 }
 
 func TestFrozenSubtreeStallsNotLoses(t *testing.T) {
-	// Force a migration of a hot subtree and verify ops are stalled
-	// (clients retry) rather than dropped: total served still matches.
-	c := newTestCluster(t, Config{Workload: smallZipf(), Clients: 8, MigrationRate: 50})
+	// Migrate hot subtrees and verify ops that hit a frozen subtree
+	// are stalled (clients retry) rather than dropped: total served
+	// still matches.
+	c := newTestCluster(t, Config{Workload: smallZipf(), Clients: 8})
 	c.RunUntilDone(20000)
 	if !c.Done() {
 		t.Fatal("run did not finish")
+	}
+	if c.Migrator().CompletedTasks() == 0 {
+		t.Fatal("no export ran, so no subtree was ever frozen")
 	}
 	var clientOps int64
 	for _, cl := range c.Clients() {

@@ -58,10 +58,16 @@ import (
 // ops). A crash drops the dead rank's journal; every dropped batch
 // re-queues the owning client's WHOLE outstanding suffix (later batches
 // on live ranks included — queue order must survive), exactly once,
-// because the batch objects are discarded. Known approximation: a
-// batch re-resolves and commits against its first op's governing
-// entry, so ops past a mid-batch fragment split are charged to the
-// first op's fragment until the next flush boundary.
+// because the batch objects are discarded.
+//
+// Known approximation: admission re-resolves a batch through its first
+// op only. When a fragment split or an export moves the authority over
+// a journaled batch's later ops, those ops are still served, budgeted,
+// and heat- and trace-charged on the first op's rank under the first
+// op's entry, not by their current authority, until the batch drains —
+// a retained batch can wait several ticks. Another rank's lane may
+// serve the same inodes in the same round, which is why the trace
+// records of existing inodes wait for the barrier (rankLane.records).
 
 // wbRun is one flushable same-entry run planned by a cohort.
 type wbRun struct {

@@ -145,18 +145,25 @@ func TestWriteBackCrashRequeuesExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestWriteBackChurnWithReplication runs write-back MDtest under seeded
-// MTBF churn with warm-standby replication (PR 6): every crash both
-// drops that rank's journal (re-queues) and races the standby
-// promotion. The every-tick auditor holding through that interaction is
-// the test.
+// TestWriteBackChurnWithReplication runs write-back MDtest under MTBF-
+// style churn with warm-standby replication: every crash both drops
+// that rank's journal (re-queues) and races the standby promotion. The
+// every-tick auditor holding through that interaction is the test. The
+// schedule keeps at most one of the four ranks down at a time (an MTBF
+// 150 / MTTR 50 draw over 1500 ticks with such a bound).
 func TestWriteBackChurnWithReplication(t *testing.T) {
-	sched := fault.MTBF(fault.MTBFConfig{
-		Ranks: 4, MTBF: 150, MTTR: 50, Horizon: 1500, MaxConcurrent: 1,
-	}, rng.New(11).Fork(99))
-	if sched.Empty() {
-		t.Fatal("churn schedule must produce events")
-	}
+	var sched fault.Schedule
+	sched.Crash(4, 0).Recover(171, 0).
+		Crash(174, 3).Recover(484, 3).
+		Crash(518, 1).Recover(574, 1).
+		Crash(656, 0).Recover(718, 0).
+		Crash(746, 2).Recover(797, 2).
+		Crash(869, 1).Recover(918, 1).
+		Crash(926, 3).Recover(968, 3).
+		Crash(1163, 1).Recover(1307, 1).
+		Crash(1384, 1).Recover(1386, 1).
+		Crash(1430, 1).Recover(1453, 1).
+		Crash(1490, 1).Recover(1499, 1)
 	aud := audit.New(audit.Options{EveryTick: true})
 	c := newTestCluster(t, Config{
 		MDS:           4,

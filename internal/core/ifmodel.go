@@ -9,14 +9,9 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultSmoothness is the urgency smoothness knob S the paper uses.
-const DefaultSmoothness = 0.2
-
-// IFModel computes the cluster Imbalance Factor from per-MDS loads.
-type IFModel struct {
-	// S is the logistic smoothness knob in (0, 1); the paper sets 0.2.
-	S float64
-}
+// smoothness is the urgency term's logistic smoothness knob S, in
+// (0, 1); the paper sets 0.2.
+const smoothness = 0.2
 
 // IFResult breaks the Imbalance Factor into its components.
 type IFResult struct {
@@ -32,17 +27,14 @@ type IFResult struct {
 	Utilization float64
 }
 
-// Compute evaluates the model for the given per-MDS loads (ops/sec)
-// and the theoretical single-MDS capacity C. A cluster with fewer than
-// two MDSs, zero capacity, or zero load is perfectly balanced (IF 0).
-func (m IFModel) Compute(loads []float64, capacity float64) IFResult {
+// ComputeIF evaluates the Imbalance Factor model for the given per-MDS
+// loads (ops/sec) and the theoretical single-MDS capacity C. A cluster
+// with fewer than two MDSs, zero capacity, or zero load is perfectly
+// balanced (IF 0).
+func ComputeIF(loads []float64, capacity float64) IFResult {
 	n := len(loads)
 	if n < 2 || capacity <= 0 {
 		return IFResult{}
-	}
-	s := m.S
-	if s == 0 {
-		s = DefaultSmoothness
 	}
 	cov := stats.CoV(loads)
 	norm := cov / stats.MaxCoV(n)
@@ -50,7 +42,7 @@ func (m IFModel) Compute(loads []float64, capacity float64) IFResult {
 	if u > 1 {
 		u = 1
 	}
-	urgency := stats.Logistic(u, s)
+	urgency := stats.Logistic(u, smoothness)
 	return IFResult{
 		IF:          norm * urgency,
 		CoV:         cov,

@@ -4,17 +4,18 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestIFRange(t *testing.T) {
-	m := IFModel{}
 	f := func(raw []uint16, capRaw uint16) bool {
 		loads := make([]float64, len(raw))
 		for i, v := range raw {
 			loads[i] = float64(v)
 		}
 		capacity := float64(capRaw) + 1
-		r := m.Compute(loads, capacity)
+		r := ComputeIF(loads, capacity)
 		return r.IF >= 0 && r.IF <= 1+1e-9 && r.U >= 0 && r.U <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -24,7 +25,7 @@ func TestIFRange(t *testing.T) {
 
 func TestIFFullyImbalancedAtCapacity(t *testing.T) {
 	// One MDS at full capacity, others idle: the worst case, IF ~ 1.
-	r := IFModel{}.Compute([]float64{2000, 0, 0, 0, 0}, 2000)
+	r := ComputeIF([]float64{2000, 0, 0, 0, 0}, 2000)
 	if r.IF < 0.95 {
 		t.Fatalf("worst-case IF = %v, want ~1", r.IF)
 	}
@@ -36,8 +37,8 @@ func TestIFFullyImbalancedAtCapacity(t *testing.T) {
 func TestIFBenignImbalanceTolerated(t *testing.T) {
 	// Same skew shape but everything lightly loaded: the urgency term
 	// must suppress IF (the paper's benign-imbalance case).
-	light := IFModel{}.Compute([]float64{200, 0, 0, 0, 0}, 2000)
-	heavy := IFModel{}.Compute([]float64{2000, 0, 0, 0, 0}, 2000)
+	light := ComputeIF([]float64{200, 0, 0, 0, 0}, 2000)
+	heavy := ComputeIF([]float64{2000, 0, 0, 0, 0}, 2000)
 	if light.NormCoV != heavy.NormCoV {
 		t.Fatal("CoV should be identical for the same shape")
 	}
@@ -50,24 +51,23 @@ func TestIFBenignImbalanceTolerated(t *testing.T) {
 }
 
 func TestIFBalancedIsZero(t *testing.T) {
-	r := IFModel{}.Compute([]float64{1500, 1500, 1500, 1500}, 2000)
+	r := ComputeIF([]float64{1500, 1500, 1500, 1500}, 2000)
 	if r.IF != 0 {
 		t.Fatalf("balanced IF = %v", r.IF)
 	}
 }
 
 func TestIFDegenerateInputs(t *testing.T) {
-	m := IFModel{}
-	if r := m.Compute(nil, 2000); r.IF != 0 {
+	if r := ComputeIF(nil, 2000); r.IF != 0 {
 		t.Fatal("empty loads")
 	}
-	if r := m.Compute([]float64{100}, 2000); r.IF != 0 {
+	if r := ComputeIF([]float64{100}, 2000); r.IF != 0 {
 		t.Fatal("single MDS")
 	}
-	if r := m.Compute([]float64{100, 0}, 0); r.IF != 0 {
+	if r := ComputeIF([]float64{100, 0}, 0); r.IF != 0 {
 		t.Fatal("zero capacity")
 	}
-	if r := m.Compute([]float64{0, 0, 0}, 2000); r.IF != 0 {
+	if r := ComputeIF([]float64{0, 0, 0}, 2000); r.IF != 0 {
 		t.Fatal("idle cluster")
 	}
 }
@@ -75,7 +75,7 @@ func TestIFDegenerateInputs(t *testing.T) {
 func TestIFUtilizationClamped(t *testing.T) {
 	// Loads can transiently exceed the theoretical capacity (bursts);
 	// utilization clamps at 1.
-	r := IFModel{}.Compute([]float64{5000, 0}, 2000)
+	r := ComputeIF([]float64{5000, 0}, 2000)
 	if r.Utilization != 1 {
 		t.Fatalf("utilization = %v, want 1", r.Utilization)
 	}
@@ -86,7 +86,7 @@ func TestIFMonotoneInSkew(t *testing.T) {
 	// must not decrease IF.
 	prev := -1.0
 	for d := 0.0; d <= 900; d += 100 {
-		r := IFModel{}.Compute([]float64{1000 + d, 1000 - d, 1000, 1000}, 2000)
+		r := ComputeIF([]float64{1000 + d, 1000 - d, 1000, 1000}, 2000)
 		if r.IF < prev-1e-9 {
 			t.Fatalf("IF decreased with more skew at d=%v", d)
 		}
@@ -95,9 +95,9 @@ func TestIFMonotoneInSkew(t *testing.T) {
 }
 
 func TestIFSmoothnessDefault(t *testing.T) {
-	a := IFModel{}.Compute([]float64{1000, 0}, 2000)
-	b := IFModel{S: DefaultSmoothness}.Compute([]float64{1000, 0}, 2000)
-	if a.IF != b.IF {
-		t.Fatal("zero smoothness must default to the paper's 0.2")
+	// The urgency term runs at the paper's smoothness S = 0.2.
+	r := ComputeIF([]float64{1000, 0}, 2000)
+	if want := stats.Logistic(0.5, 0.2); r.U != want {
+		t.Fatalf("urgency at u=0.5 = %v, want the S=0.2 logistic %v", r.U, want)
 	}
 }

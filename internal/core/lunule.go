@@ -6,27 +6,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Config parameterizes the Lunule balancer.
+// threshold is the IF value above which re-balance triggers (the
+// paper's 0.1).
+const threshold = 0.10
+
+// Config selects the Lunule variant. The paper's parameters (IF
+// threshold, smoothness S, the planner's L and history depth, the
+// analyzer's N windows and sibling probability, the selector's
+// tolerance) are the package's constants.
 type Config struct {
-	// Threshold is the IF value above which re-balance triggers.
-	Threshold float64
-	// Smoothness is the urgency knob S (paper: 0.2).
-	Smoothness float64
-	// L gates per-MDS plan participation in Algorithm 1.
-	L float64
-	// CapFraction sizes Algorithm 1's per-epoch export/import ceiling
-	// as a fraction of the single-MDS capacity C.
-	CapFraction float64
-	// HistoryEpochs feeds the importer-side future-load regression.
-	HistoryEpochs int
-	// Windows is the pattern analyzer's cutting-window depth N.
-	Windows int
-	// SiblingProb is the sibling-correlation probability mass.
-	SiblingProb float64
-	// Tolerance is the subtree selector's matching tolerance.
-	Tolerance float64
-	// CandidateLimit bounds candidate enumeration.
-	CandidateLimit int
 	// WorkloadAware toggles the workload-aware subtree selection; with
 	// it off the policy is the paper's Lunule-Light variant, which
 	// keeps the IF model and Algorithm 1 but selects subtrees by the
@@ -51,65 +39,15 @@ type Config struct {
 // DefaultConfig returns the configuration used throughout the paper's
 // evaluation.
 func DefaultConfig() Config {
-	return Config{
-		Threshold:      0.10,
-		Smoothness:     DefaultSmoothness,
-		L:              0.05,
-		CapFraction:    1.0,
-		HistoryEpochs:  8,
-		Windows:        5,
-		SiblingProb:    0.5,
-		Tolerance:      0.10,
-		CandidateLimit: 128,
-		WorkloadAware:  true,
-	}
-}
-
-// Normalize returns cfg with every zero-valued field replaced by its
-// DefaultConfig value. It is the explicit opt-in for the old "zero
-// means unset" construction style; New itself takes the config
-// verbatim, so a deliberate zero (Tolerance 0, Threshold 0,
-// SiblingProb 0 — exactly what the ablation flags need to express)
-// reaches the balancer unchanged.
-func (c Config) Normalize() Config {
-	def := DefaultConfig()
-	if c.Threshold == 0 {
-		c.Threshold = def.Threshold
-	}
-	if c.Smoothness == 0 {
-		c.Smoothness = def.Smoothness
-	}
-	if c.L == 0 {
-		c.L = def.L
-	}
-	if c.CapFraction == 0 {
-		c.CapFraction = def.CapFraction
-	}
-	if c.HistoryEpochs == 0 {
-		c.HistoryEpochs = def.HistoryEpochs
-	}
-	if c.Windows == 0 {
-		c.Windows = def.Windows
-	}
-	if c.SiblingProb == 0 {
-		c.SiblingProb = def.SiblingProb
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = def.Tolerance
-	}
-	if c.CandidateLimit == 0 {
-		c.CandidateLimit = def.CandidateLimit
-	}
-	return c
+	return Config{WorkloadAware: true}
 }
 
 // Lunule is the paper's balancer: IF-model-driven triggering,
 // Algorithm 1 role/amount planning, and workload-aware subtree
 // selection.
 type Lunule struct {
-	cfg      Config
-	selector *Selector
-	bus      *obs.Bus
+	cfg Config
+	bus *obs.Bus
 
 	// lastResult is the most recent IF evaluation, exposed for
 	// experiments and debugging.
@@ -118,22 +56,9 @@ type Lunule struct {
 	rebalances int
 }
 
-// New creates a Lunule balancer from cfg taken verbatim: a zero field
-// means zero, not "use the default". Start from DefaultConfig (as the
-// experiments do) or call NewFromDefaults to get the paper's values
-// for anything left unset.
+// New creates a Lunule balancer of the variant cfg selects.
 func New(cfg Config) *Lunule {
-	sel := NewSelector()
-	sel.Tolerance = cfg.Tolerance
-	sel.CandidateLimit = cfg.CandidateLimit
-	return &Lunule{cfg: cfg, selector: sel}
-}
-
-// NewFromDefaults creates a Lunule balancer treating zero-valued cfg
-// fields as unset and filling them from DefaultConfig — the historical
-// behaviour of New, kept for callers that build configs sparsely.
-func NewFromDefaults(cfg Config) *Lunule {
-	return New(cfg.Normalize())
+	return &Lunule{cfg: cfg}
 }
 
 // SetBus implements obs.BusCarrier: trigger decisions (with their
@@ -242,18 +167,18 @@ func (b *Lunule) Rebalance(v balancer.View) {
 		loads[i] = allLoads[id]
 		histories[i] = allHistories[id]
 	}
-	b.lastResult = IFModel{S: b.cfg.Smoothness}.Compute(loads, v.Capacity())
+	b.lastResult = ComputeIF(loads, v.Capacity())
 	if b.cfg.DisableUrgency {
 		// Ablation: raw normalized CoV, no benign-imbalance tolerance.
 		b.lastResult.U = 1
 		b.lastResult.IF = b.lastResult.NormCoV
 	}
-	fired := b.lastResult.IF >= b.cfg.Threshold
+	fired := b.lastResult.IF >= threshold
 	if b.bus.Enabled(obs.EvTrigger) {
 		b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: obs.F{
 			"balancer": b.Name(), "if": b.lastResult.IF, "cov": b.lastResult.CoV,
 			"norm_cov": b.lastResult.NormCoV, "u": b.lastResult.U,
-			"threshold": b.cfg.Threshold, "fired": fired, "live": len(live),
+			"threshold": threshold, "fired": fired, "live": len(live),
 		}})
 	}
 
@@ -263,10 +188,10 @@ func (b *Lunule) Rebalance(v balancer.View) {
 		return
 	}
 
+	// Algorithm 1's per-epoch export/import ceiling is one MDS's
+	// capacity C.
 	plan := Plan(loads, histories, PlannerConfig{
-		L:                 b.cfg.L,
-		Cap:               b.cfg.CapFraction * v.Capacity(),
-		HistoryEpochs:     b.cfg.HistoryEpochs,
+		Cap:               v.Capacity(),
 		DisableFutureLoad: b.cfg.DisableImporterGate,
 	})
 	if len(plan) == 0 {
@@ -305,11 +230,7 @@ func (b *Lunule) Rebalance(v balancer.View) {
 	}
 	v.Ledger().EpochLunule(n, 0, exporterRanks, maxPairs)
 
-	an := &Analyzer{
-		Windows:     b.cfg.Windows,
-		SiblingProb: b.cfg.SiblingProb,
-		EpochTicks:  v.EpochTicks(),
-	}
+	an := NewAnalyzer(v.EpochTicks())
 	if b.cfg.DisableSiblingCredit {
 		an.SiblingProb = 0
 	}
@@ -322,7 +243,7 @@ func (b *Lunule) Rebalance(v balancer.View) {
 
 func (b *Lunule) execute(v balancer.View, an *Analyzer, d Decision) {
 	if b.cfg.WorkloadAware {
-		for _, c := range b.selector.Select(v, an, d.From, d.Amount) {
+		for _, c := range Select(v, an, d.From, d.Amount) {
 			b.tracePick(v, c, d)
 			balancer.SubmitCandidate(v, c, d.From, d.To)
 		}
@@ -334,7 +255,7 @@ func (b *Lunule) execute(v balancer.View, an *Analyzer, d Decision) {
 	if load <= 0 {
 		return
 	}
-	for _, c := range balancer.HeatSelect(v, d.From, d.Amount/load, b.cfg.CandidateLimit) {
+	for _, c := range balancer.HeatSelect(v, d.From, d.Amount/load, candidateLimit) {
 		b.tracePick(v, c, d)
 		balancer.SubmitCandidate(v, c, d.From, d.To)
 	}

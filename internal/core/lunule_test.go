@@ -42,8 +42,8 @@ func TestLunuleToleratesBenignSkew(t *testing.T) {
 	}
 	lun := NewDefault()
 	lun.Rebalance(v)
-	if lun.LastIF().IF >= lun.cfg.Threshold {
-		t.Fatalf("benign IF = %v, want below threshold %v", lun.LastIF().IF, lun.cfg.Threshold)
+	if lun.LastIF().IF >= threshold {
+		t.Fatalf("benign IF = %v, want below threshold %v", lun.LastIF().IF, threshold)
 	}
 	if lun.Rebalances() != 0 || v.Mig.QueuedTasks() != 0 {
 		t.Fatal("benign skew must not migrate")
@@ -110,44 +110,5 @@ func TestLunuleLightUsesHeatSelection(t *testing.T) {
 	light.Rebalance(v)
 	if v.Mig.QueuedTasks()+v.Mig.ActiveTasks() == 0 {
 		t.Fatal("light variant must still migrate on harmful skew")
-	}
-}
-
-func TestNewFromDefaultsFillsZeroFields(t *testing.T) {
-	lun := NewFromDefaults(Config{WorkloadAware: true})
-	def := DefaultConfig()
-	if lun.cfg.Threshold != def.Threshold || lun.cfg.Smoothness != def.Smoothness ||
-		lun.cfg.Windows != def.Windows || lun.cfg.CandidateLimit != def.CandidateLimit {
-		t.Fatalf("zero config not filled: %+v", lun.cfg)
-	}
-}
-
-func TestNormalizeKeepsExplicitValues(t *testing.T) {
-	cfg := Config{Threshold: 0.42, Windows: 3}.Normalize()
-	if cfg.Threshold != 0.42 || cfg.Windows != 3 {
-		t.Fatalf("normalize overwrote explicit values: %+v", cfg)
-	}
-	def := DefaultConfig()
-	if cfg.Smoothness != def.Smoothness || cfg.Tolerance != def.Tolerance {
-		t.Fatalf("normalize left zero fields unfilled: %+v", cfg)
-	}
-}
-
-// TestNewHonorsExplicitZero is the regression test for the old New,
-// which treated zero-valued fields as unset: an ablation expressing
-// Tolerance 0 (exact-match subtree selection) silently got the 10%
-// default back. New now takes the config verbatim, so the zero must
-// reach the selector.
-func TestNewHonorsExplicitZero(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tolerance = 0
-	cfg.Threshold = 0
-	cfg.SiblingProb = 0
-	lun := New(cfg)
-	if lun.selector.Tolerance != 0 {
-		t.Fatalf("explicit zero tolerance did not reach the selector: %v", lun.selector.Tolerance)
-	}
-	if lun.cfg.Threshold != 0 || lun.cfg.SiblingProb != 0 {
-		t.Fatalf("explicit zeros replaced by defaults: %+v", lun.cfg)
 	}
 }

@@ -21,8 +21,6 @@ import (
 // (deterministically) rather than by coin flips, which keeps runs
 // reproducible and equals the paper's probabilistic rule in mean.
 type Analyzer struct {
-	// Windows is N, the number of recent cutting windows consulted.
-	Windows int
 	// SiblingProb is the probability mass of the sibling-correlation
 	// rule (the paper's "certain probability").
 	SiblingProb float64
@@ -30,10 +28,17 @@ type Analyzer struct {
 	EpochTicks int
 }
 
+// The analyzer's paper parameters: N, the number of recent cutting
+// windows consulted, and the default sibling-correlation probability.
+const (
+	windows     = 5
+	siblingProb = 0.5
+)
+
 // NewAnalyzer returns an analyzer with the defaults used throughout the
 // evaluation.
 func NewAnalyzer(epochTicks int) *Analyzer {
-	return &Analyzer{Windows: 5, SiblingProb: 0.5, EpochTicks: epochTicks}
+	return &Analyzer{SiblingProb: siblingProb, EpochTicks: epochTicks}
 }
 
 // Locality is the analyzed state of one subtree.
@@ -51,7 +56,7 @@ type Locality struct {
 }
 
 func (a *Analyzer) windowsUsed(epoch int64) float64 {
-	n := int64(a.Windows)
+	n := int64(windows)
 	if epoch+1 < n {
 		n = epoch + 1
 	}
@@ -123,21 +128,21 @@ func (a *Analyzer) siblingCredit(col *trace.Collector, epoch int64, d *namespace
 	if uParent <= 0 {
 		return 0
 	}
-	fv := col.RecentDir(p.Ino, epoch, a.Windows).FirstVisits
+	fv := col.RecentDir(p.Ino, epoch, windows).FirstVisits
 	return a.SiblingProb * float64(fv) * float64(uSelf) / float64(uParent)
 }
 
 // ForDir analyzes the region rooted at directory d as observed by the
 // given collector (the exporter's).
 func (a *Analyzer) ForDir(col *trace.Collector, epoch int64, d *namespace.Inode) Locality {
-	c := col.RecentDir(d.Ino, epoch, a.Windows)
+	c := col.RecentDir(d.Ino, epoch, windows)
 	return a.locality(c, a.siblingCredit(col, epoch, d), epoch)
 }
 
 // ForKey analyzes an existing subtree entry as observed by the given
 // collector.
 func (a *Analyzer) ForKey(col *trace.Collector, epoch int64, part *namespace.Partition, key namespace.FragKey) Locality {
-	c := col.RecentKey(key, epoch, a.Windows)
+	c := col.RecentKey(key, epoch, windows)
 	credit := 0.0
 	dir := part.Tree().Get(key.Dir)
 	if dir != nil {
@@ -149,7 +154,7 @@ func (a *Analyzer) ForKey(col *trace.Collector, epoch int64, part *namespace.Par
 			uFrag, _ := part.UnvisitedIn(key)
 			uDir, _ := dir.UnvisitedBelow()
 			if uFrag > 0 && uDir > 0 {
-				fv := col.RecentDir(dir.Ino, epoch, a.Windows).FirstVisits
+				fv := col.RecentDir(dir.Ino, epoch, windows).FirstVisits
 				credit = a.SiblingProb * float64(fv) * float64(uFrag) / float64(uDir)
 			}
 		}

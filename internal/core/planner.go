@@ -5,18 +5,22 @@ import (
 	"repro/internal/stats"
 )
 
+// Algorithm 1's fixed parameters, the paper's values.
+const (
+	// planL gates participation: an MDS joins the plan only when its
+	// squared relative deviation (delta/avg)^2 exceeds L.
+	planL = 0.05
+	// historyEpochs is how many recent epochs feed the linear
+	// regression that predicts each MDS's next-epoch load (fld).
+	historyEpochs = 8
+)
+
 // PlannerConfig parameterizes Algorithm 1.
 type PlannerConfig struct {
-	// L gates participation: an MDS joins the plan only when its
-	// squared relative deviation (delta/avg)^2 exceeds L.
-	L float64
 	// Cap is the per-epoch ceiling on any MDS's export or import
 	// amount (load units), modelling the bounded migration throughput
 	// of one epoch.
 	Cap float64
-	// HistoryEpochs is how many recent epochs feed the linear
-	// regression that predicts each MDS's next-epoch load (fld).
-	HistoryEpochs int
 	// DisableFutureLoad drops the importer-side fld test (ablation):
 	// every below-average MDS imports its full gap.
 	DisableFutureLoad bool
@@ -63,7 +67,7 @@ func Plan(loads []float64, histories [][]float64, cfg PlannerConfig) []Decision 
 			abs = -abs
 		}
 		rel := abs / avg
-		if rel*rel <= cfg.L {
+		if rel*rel <= planL {
 			continue
 		}
 		if delta > 0 {
@@ -77,7 +81,7 @@ func Plan(loads []float64, histories [][]float64, cfg PlannerConfig) []Decision 
 			importers = append(importers, imprt{namespace.MDSID(i), minF(cfg.Cap, abs)})
 			continue
 		}
-		fld := predictNext(histories, i, cfg.HistoryEpochs)
+		fld := predictNext(histories, i)
 		growth := fld - loads[i]
 		if growth < abs {
 			ild := abs - growth
@@ -112,13 +116,13 @@ func Plan(loads []float64, histories [][]float64, cfg PlannerConfig) []Decision 
 	return plan
 }
 
-func predictNext(histories [][]float64, i, k int) float64 {
+func predictNext(histories [][]float64, i int) float64 {
 	if i >= len(histories) || len(histories[i]) == 0 {
 		return 0
 	}
 	h := histories[i]
-	if k > 0 && len(h) > k {
-		h = h[len(h)-k:]
+	if len(h) > historyEpochs {
+		h = h[len(h)-historyEpochs:]
 	}
 	return stats.FitSeries(h).PredictNext()
 }

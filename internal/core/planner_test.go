@@ -8,7 +8,7 @@ import (
 )
 
 func defaultPlanCfg() PlannerConfig {
-	return PlannerConfig{L: 0.05, Cap: 1000, HistoryEpochs: 8}
+	return PlannerConfig{Cap: 1000}
 }
 
 func TestPlanSingleHotExporter(t *testing.T) {
@@ -63,9 +63,13 @@ func TestPlanLGateFiltersSmallDeviations(t *testing.T) {
 	if plan := Plan(loads, hist, cfg); len(plan) != 0 {
 		t.Fatalf("sub-threshold deviations should not plan, got %v", plan)
 	}
-	cfg.L = 0.01
+	// 25% off average: (0.25)^2 = 0.0625 > L -> both ends plan.
+	loads = []float64{1250, 1000, 1000, 1000, 750}
+	for i, l := range loads {
+		hist[i] = []float64{l}
+	}
 	if plan := Plan(loads, hist, cfg); len(plan) == 0 {
-		t.Fatal("lower L should admit the deviations")
+		t.Fatal("deviations past L should plan")
 	}
 }
 

@@ -6,55 +6,24 @@ import (
 	"repro/internal/trace"
 )
 
-// Selector implements the paper's subtree selection (§3.3/§4.1): given
-// an exporter and a migration amount, it searches the exporter's
-// namespace through three paths:
-//
-//  1. a single subtree whose migration index is within the tolerance
-//     (10%) of the amount;
-//  2. an over-large subtree split down to size — into descendant
-//     directories when the load concentrates in them, or by dirfrag
-//     splitting when the load (or the anticipated spatial load) is
-//     spread across the subtree itself;
-//  3. a minimal set of subtrees whose migration indices together
-//     roughly meet the demand.
-//
-// Candidate enumeration descends into a subtree's child directories
-// only when those children actually capture the subtree's migration
-// index; a region whose predicted load is diffuse (a scan spreading
-// over hundreds of directories) is kept whole so that path 2 can carve
-// a hash fragment of it — which ships a representative slice of the
-// not-yet-visited namespace, the behaviour that makes Lunule effective
-// on scan workloads.
-type Selector struct {
-	// Tolerance is the acceptable relative mismatch (the paper allows
-	// a 10% difference).
-	Tolerance float64
-	// CandidateLimit bounds candidate enumeration.
-	CandidateLimit int
-	// MaxFragSplits bounds repeated dirfrag splitting.
-	MaxFragSplits int
-	// ConcentrationMin is the fraction of a region's migration index
+// The subtree selector's fixed parameters.
+const (
+	// tolerance is the acceptable relative mismatch between a pick's
+	// migration index and the amount (the paper allows 10%).
+	tolerance = 0.10
+	// candidateLimit bounds candidate enumeration.
+	candidateLimit = 128
+	// maxFragSplits bounds repeated dirfrag splitting.
+	maxFragSplits = 8
+	// concentrationMin is the fraction of a region's migration index
 	// its child directories must capture for the region to be refined
 	// into them rather than fragment-split.
-	ConcentrationMin float64
-	// MaxPicks bounds how many subtrees one decision may export.
-	MaxPicks int
-	// DustFraction drops candidates below this fraction of the amount.
-	DustFraction float64
-}
-
-// NewSelector returns a selector with the paper's defaults.
-func NewSelector() *Selector {
-	return &Selector{
-		Tolerance:        0.10,
-		CandidateLimit:   128,
-		MaxFragSplits:    8,
-		ConcentrationMin: 0.7,
-		MaxPicks:         16,
-		DustFraction:     0.05,
-	}
-}
+	concentrationMin = 0.7
+	// maxPicks bounds how many subtrees one decision may export.
+	maxPicks = 16
+	// dustFraction drops candidates below this fraction of the amount.
+	dustFraction = 0.05
+)
 
 // selCtx carries the per-call state.
 type selCtx struct {
@@ -85,6 +54,27 @@ func (ctx *selCtx) childDirs(dir *namespace.Inode, frag namespace.Frag) []*names
 	return out
 }
 
+// Select implements the paper's subtree selection (§3.3/§4.1): given
+// an exporter and a migration amount, it searches the exporter's
+// namespace through three paths:
+//
+//  1. a single subtree whose migration index is within the tolerance
+//     (10%) of the amount;
+//  2. an over-large subtree split down to size — into descendant
+//     directories when the load concentrates in them, or by dirfrag
+//     splitting when the load (or the anticipated spatial load) is
+//     spread across the subtree itself;
+//  3. a minimal set of subtrees whose migration indices together
+//     roughly meet the demand.
+//
+// Candidate enumeration descends into a subtree's child directories
+// only when those children actually capture the subtree's migration
+// index; a region whose predicted load is diffuse (a scan spreading
+// over hundreds of directories) is kept whole so that path 2 can carve
+// a hash fragment of it — which ships a representative slice of the
+// not-yet-visited namespace, the behaviour that makes Lunule effective
+// on scan workloads.
+//
 // Select returns the candidates to export so that their total migration
 // index approximates amount (ops/sec). The analyzer must belong to the
 // exporter (its collector classifies the exporter's recent traffic).
@@ -95,7 +85,7 @@ func (ctx *selCtx) childDirs(dir *namespace.Inode, frag namespace.Frag) []*names
 // exporter's served load and then applied to the total enumerated
 // migration index; this ships the right proportion of the demand
 // rather than 'amount' worth of under-measured subtrees.
-func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSID, amount float64) []balancer.Candidate {
+func Select(v balancer.View, an *Analyzer, exporter namespace.MDSID, amount float64) []balancer.Candidate {
 	if amount <= 0 {
 		return nil
 	}
@@ -106,7 +96,7 @@ func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSI
 		part: v.Partition(),
 		ex:   exporter,
 	}
-	cands := s.enumerate(ctx, amount)
+	cands := enumerate(ctx, amount)
 	if len(cands) == 0 {
 		return nil
 	}
@@ -124,7 +114,7 @@ func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSI
 			return nil
 		}
 	}
-	tol := s.Tolerance * amount
+	tol := tolerance * amount
 
 	// Path 1: one subtree that matches the amount within tolerance.
 	bestIdx, bestDiff := -1, tol+1
@@ -147,14 +137,14 @@ func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSI
 	// candidate here is split by hash fragments.)
 	overIdx := -1
 	for i, c := range cands {
-		if c.Load > amount*(1+s.Tolerance) {
+		if c.Load > amount*(1+tolerance) {
 			if overIdx == -1 || c.Load < cands[overIdx].Load {
 				overIdx = i
 			}
 		}
 	}
 	if overIdx >= 0 {
-		if c, ok := s.fragSplit(ctx, cands[overIdx], amount); ok {
+		if c, ok := fragSplit(ctx, cands[overIdx], amount); ok {
 			return []balancer.Candidate{c}
 		}
 	}
@@ -165,15 +155,15 @@ func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSI
 	var out []balancer.Candidate
 	remaining := amount
 	for _, c := range cands {
-		if c.Load < amount*s.DustFraction || remaining <= tol {
+		if c.Load < amount*dustFraction || remaining <= tol {
 			break
 		}
-		if c.Load > remaining*(1+s.Tolerance) {
+		if c.Load > remaining*(1+tolerance) {
 			continue
 		}
 		out = append(out, c)
 		remaining -= c.Load
-		if len(out) >= s.MaxPicks {
+		if len(out) >= maxPicks {
 			break
 		}
 	}
@@ -183,8 +173,8 @@ func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSI
 // enumerate lists the exporter's movable candidates sorted by
 // descending migration index, refining a region into its child
 // directories only while the children capture at least
-// ConcentrationMin of its migration index.
-func (s *Selector) enumerate(ctx *selCtx, amount float64) []balancer.Candidate {
+// concentrationMin of its migration index.
+func enumerate(ctx *selCtx, amount float64) []balancer.Candidate {
 	skip := ctx.v.Migrator().PendingFor(ctx.ex)
 	tree := ctx.part.Tree()
 	rootKey := namespace.FragKey{Dir: namespace.RootIno, Frag: namespace.WholeFrag}
@@ -226,11 +216,11 @@ func (s *Selector) enumerate(ctx *selCtx, amount float64) []balancer.Candidate {
 		cands = append(cands, balancer.Candidate{Key: e.Key, IsEntry: true, Load: ctx.keyLoad(e.Key)})
 	}
 
-	for len(cands) < s.CandidateLimit {
+	for len(cands) < candidateLimit {
 		best := -1
 		var bestChildren []balancer.Candidate
 		for i, c := range cands {
-			if c.Load <= amount*(1+s.Tolerance) {
+			if c.Load <= amount*(1+tolerance) {
 				continue
 			}
 			var dir *namespace.Inode
@@ -255,7 +245,7 @@ func (s *Selector) enumerate(ctx *selCtx, amount float64) []balancer.Candidate {
 				sum += l
 				kids = append(kids, balancer.Candidate{Dir: ch, Load: l})
 			}
-			if sum < s.ConcentrationMin*c.Load {
+			if sum < concentrationMin*c.Load {
 				// Diffuse region: keep whole; path 2 will frag-split.
 				continue
 			}
@@ -294,7 +284,7 @@ func sortCandidates(cands []balancer.Candidate) {
 // (their own indices plus their unvisited share), so a hash slice of a
 // scan region carries a representative share of both the live front
 // and the not-yet-visited namespace.
-func (s *Selector) fragSplit(ctx *selCtx, c balancer.Candidate, amount float64) (balancer.Candidate, bool) {
+func fragSplit(ctx *selCtx, c balancer.Candidate, amount float64) (balancer.Candidate, bool) {
 	part := ctx.part
 	tree := part.Tree()
 
@@ -311,7 +301,7 @@ func (s *Selector) fragSplit(ctx *selCtx, c balancer.Candidate, amount float64) 
 		return balancer.Candidate{}, false
 	}
 
-	for i := 0; i < s.MaxFragSplits && load > amount*(1+s.Tolerance); i++ {
+	for i := 0; i < maxFragSplits && load > amount*(1+tolerance); i++ {
 		if len(dir.ChildrenInFrag(key.Frag)) < 2 {
 			break
 		}

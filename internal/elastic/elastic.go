@@ -59,15 +59,19 @@ type Policy struct {
 	// consecutive scale decisions (migrations from the last move must
 	// land before the signal is trusted again).
 	CooldownEpochs int64
-	// WarmupEpochs suppresses decisions at the start of the run, while
-	// load histories are still filling.
-	WarmupEpochs int64
 	// StepUp is how many ranks one ScaleUp adds (clamped to MaxRanks).
 	StepUp int
-	// StepDown is how many ranks one ScaleDown drains (clamped to
-	// MinRanks).
-	StepDown int
 }
+
+// The controller's fixed guards.
+const (
+	// warmupEpochs suppresses decisions at the start of the run, while
+	// load histories are still filling.
+	warmupEpochs = 2
+	// stepDown is how many ranks one ScaleDown drains (clamped to
+	// MinRanks): one at a time.
+	stepDown = 1
+)
 
 // DefaultPolicy returns the policy used by the elastic experiment and
 // the -elastic CLI default: 4..8 ranks, grow at 75% utilization, drain
@@ -79,9 +83,7 @@ func DefaultPolicy() Policy {
 		ScaleUpUtil:    0.75,
 		ScaleDownUtil:  0.35,
 		CooldownEpochs: 2,
-		WarmupEpochs:   2,
 		StepUp:         2,
-		StepDown:       1,
 	}
 }
 
@@ -100,8 +102,8 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("elastic: ScaleDownUtil %g outside [0, ScaleUpUtil %g)",
 			p.ScaleDownUtil, p.ScaleUpUtil)
 	}
-	if p.StepUp < 1 || p.StepDown < 1 {
-		return fmt.Errorf("elastic: steps must be >= 1 (up %d, down %d)", p.StepUp, p.StepDown)
+	if p.StepUp < 1 {
+		return fmt.Errorf("elastic: StepUp %d < 1", p.StepUp)
 	}
 	return nil
 }
@@ -126,9 +128,9 @@ type Snapshot struct {
 	IF float64
 	// MaxTenantDebt is the worst per-tenant SLO debt of the closed
 	// epoch — the fraction of a tenant's within-quota demand the rank
-	// pools could not serve — already gated by the tenancy policy's
-	// debt threshold (0 when tenancy is off, no tenant crossed the
-	// threshold, or the threshold is disabled). Nonzero means some
+	// pools could not serve — already gated by the tenancy layer's
+	// debt threshold (0 when tenancy is off or no tenant crossed the
+	// threshold). Nonzero means some
 	// tenant is starved despite being inside its quota, which is a
 	// capacity problem, so it triggers scale-up like saturation does.
 	MaxTenantDebt float64
@@ -205,7 +207,7 @@ func (c *Controller) Observe(s Snapshot) Decision {
 	none := func(reason string) Decision {
 		return Decision{Action: ScaleNone, Reason: reason, Util: util}
 	}
-	if c.observed <= c.policy.WarmupEpochs {
+	if c.observed <= warmupEpochs {
 		return none("warmup")
 	}
 	if s.DrainingRanks > 0 {
@@ -238,7 +240,7 @@ func (c *Controller) Observe(s Snapshot) Decision {
 		}
 		return Decision{Action: ScaleUp, Delta: delta, Reason: reason, Util: util}
 	case util < c.policy.ScaleDownUtil:
-		delta := c.policy.StepDown
+		delta := stepDown
 		if s.ActiveRanks-delta < c.policy.MinRanks {
 			delta = s.ActiveRanks - c.policy.MinRanks
 		}

@@ -9,9 +9,7 @@ func testPolicy() Policy {
 		ScaleUpUtil:    0.75,
 		ScaleDownUtil:  0.35,
 		CooldownEpochs: 2,
-		WarmupEpochs:   1,
 		StepUp:         2,
-		StepDown:       1,
 	}
 }
 
@@ -28,11 +26,11 @@ func snap(epoch int64, active, draining int, util float64) Snapshot {
 
 func TestPolicyValidate(t *testing.T) {
 	bad := []Policy{
-		{MinRanks: 0, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 1, StepDown: 1},
-		{MinRanks: 4, MaxRanks: 2, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 1, StepDown: 1},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0, ScaleDownUtil: 0, StepUp: 1, StepDown: 1},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.5, ScaleDownUtil: 0.5, StepUp: 1, StepDown: 1},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 0, StepDown: 1},
+		{MinRanks: 0, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 1},
+		{MinRanks: 4, MaxRanks: 2, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 1},
+		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0, ScaleDownUtil: 0, StepUp: 1},
+		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.5, ScaleDownUtil: 0.5, StepUp: 1},
+		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 0},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -44,53 +42,55 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
-func TestWarmupSuppressesDecisions(t *testing.T) {
-	p := testPolicy()
-	p.WarmupEpochs = 3
+// warmController returns a controller past its warmup epochs.
+func warmController(p Policy) *Controller {
 	c := MustController(p)
-	for e := int64(0); e < 3; e++ {
+	for e := int64(0); e < warmupEpochs; e++ {
+		c.Observe(snap(e, p.MinRanks, 0, 0.5))
+	}
+	return c
+}
+
+func TestWarmupSuppressesDecisions(t *testing.T) {
+	c := MustController(testPolicy())
+	for e := int64(0); e < warmupEpochs; e++ {
 		d := c.Observe(snap(e, 4, 0, 0.99))
 		if d.Action != ScaleNone || d.Reason != "warmup" {
 			t.Fatalf("epoch %d: want warmup None, got %v/%s", e, d.Action, d.Reason)
 		}
 	}
-	if d := c.Observe(snap(3, 4, 0, 0.99)); d.Action != ScaleUp {
+	if d := c.Observe(snap(warmupEpochs, 4, 0, 0.99)); d.Action != ScaleUp {
 		t.Fatalf("after warmup: want ScaleUp, got %v/%s", d.Action, d.Reason)
 	}
 }
 
 func TestScaleUpClampsToMax(t *testing.T) {
-	c := MustController(testPolicy())
-	c.Observe(snap(0, 7, 0, 0.5)) // warmup
+	c := warmController(testPolicy())
 	d := c.Observe(snap(1, 7, 0, 0.9))
 	if d.Action != ScaleUp || d.Delta != 1 {
 		t.Fatalf("want ScaleUp delta 1 (clamped to max 8), got %v delta %d", d.Action, d.Delta)
 	}
 	// At the ceiling the controller reports at_max, not a zero-delta up.
-	c2 := MustController(testPolicy())
-	c2.Observe(snap(0, 8, 0, 0.5))
+	c2 := warmController(testPolicy())
 	if d := c2.Observe(snap(1, 8, 0, 0.9)); d.Action != ScaleNone || d.Reason != "at_max" {
 		t.Fatalf("at ceiling: want None/at_max, got %v/%s", d.Action, d.Reason)
 	}
 }
 
 func TestScaleDownClampsToMin(t *testing.T) {
-	c := MustController(testPolicy())
-	c.Observe(snap(0, 5, 0, 0.5))
+	c := warmController(testPolicy())
 	d := c.Observe(snap(1, 5, 0, 0.1))
 	if d.Action != ScaleDown || d.Delta != 1 {
 		t.Fatalf("want ScaleDown delta 1, got %v delta %d", d.Action, d.Delta)
 	}
-	c2 := MustController(testPolicy())
-	c2.Observe(snap(0, 4, 0, 0.5))
+	c2 := warmController(testPolicy())
 	if d := c2.Observe(snap(1, 4, 0, 0.1)); d.Action != ScaleNone || d.Reason != "at_min" {
 		t.Fatalf("at floor: want None/at_min, got %v/%s", d.Action, d.Reason)
 	}
 }
 
 func TestCooldownBetweenDecisions(t *testing.T) {
-	c := MustController(testPolicy())
-	c.Observe(snap(0, 4, 0, 0.5))
+	c := warmController(testPolicy())
 	if d := c.Observe(snap(1, 4, 0, 0.9)); d.Action != ScaleUp {
 		t.Fatalf("want ScaleUp, got %v/%s", d.Action, d.Reason)
 	}
@@ -106,8 +106,7 @@ func TestCooldownBetweenDecisions(t *testing.T) {
 }
 
 func TestHysteresisBandHolds(t *testing.T) {
-	c := MustController(testPolicy())
-	c.Observe(snap(0, 6, 0, 0.5))
+	c := warmController(testPolicy())
 	// Anything in [0.35, 0.75) is steady: no oscillation.
 	for e := int64(1); e < 5; e++ {
 		u := 0.35 + 0.08*float64(e)
@@ -118,16 +117,14 @@ func TestHysteresisBandHolds(t *testing.T) {
 }
 
 func TestDrainInFlightBlocksDecisions(t *testing.T) {
-	c := MustController(testPolicy())
-	c.Observe(snap(0, 6, 0, 0.5))
+	c := warmController(testPolicy())
 	if d := c.Observe(snap(1, 6, 1, 0.95)); d.Action != ScaleNone || d.Reason != "draining" {
 		t.Fatalf("with a drain in flight: want None/draining, got %v/%s", d.Action, d.Reason)
 	}
 }
 
 func TestCounters(t *testing.T) {
-	c := MustController(testPolicy())
-	c.Observe(snap(0, 4, 0, 0.5))
+	c := warmController(testPolicy())
 	c.Observe(snap(1, 4, 0, 0.9))  // up
 	c.Observe(snap(4, 6, 0, 0.1))  // down (past cooldown)
 	c.Observe(snap(7, 5, 0, 0.05)) // down

@@ -268,10 +268,9 @@ func runFig8(opt Options) (*Result, error) {
 				Balancer: MakeBalancer(b),
 				Workload: MakeWorkload(w, opt.Scale),
 				DataPath: true,
-				// A data pool sized so the large-file workloads brush
-				// against it once metadata is balanced: the dilution
-				// effect Figure 8 measures.
-				OSDs:         6,
+				// A data pool (six OSDs) sized so the large-file
+				// workloads brush against it once metadata is balanced:
+				// the dilution effect Figure 8 measures.
 				OSDBandwidth: 24 << 20,
 			})
 			if err != nil {

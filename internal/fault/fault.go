@@ -230,16 +230,13 @@ type MTBFConfig struct {
 	// Horizon bounds event generation: no event is scheduled at or
 	// after this tick.
 	Horizon int64
-	// MaxConcurrent bounds how many ranks may be down at once; 0 means
-	// ranks-1 (always keep one survivor).
-	MaxConcurrent int
 }
 
 // MTBF draws a deterministic crash/recover schedule from the source:
 // for each rank, alternating exponential up-times (mean MTBF) and
-// down-times (mean MTTR) until the horizon. Crashes that would exceed
-// MaxConcurrent simultaneous failures are skipped, so the cluster
-// always keeps at least one survivor to take over orphaned subtrees.
+// down-times (mean MTTR) until the horizon. Crashes that would take
+// down the last live rank are skipped, so the cluster always keeps at
+// least one survivor to take over orphaned subtrees.
 func MTBF(cfg MTBFConfig, src *rng.Source) Schedule {
 	var s Schedule
 	if cfg.Ranks <= 0 || cfg.MTBF <= 0 || cfg.Horizon <= 0 {
@@ -252,10 +249,7 @@ func MTBF(cfg MTBFConfig, src *rng.Source) Schedule {
 	if mttr < 1 {
 		mttr = 1
 	}
-	maxDown := cfg.MaxConcurrent
-	if maxDown <= 0 || maxDown >= cfg.Ranks {
-		maxDown = cfg.Ranks - 1
-	}
+	maxDown := cfg.Ranks - 1
 	if maxDown < 1 {
 		return s
 	}

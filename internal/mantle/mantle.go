@@ -71,14 +71,15 @@ type Policy struct {
 // Balancer adapts a Policy to balancer.Balancer.
 type Balancer struct {
 	policy Policy
-	// CandidateLimit bounds subtree candidate enumeration.
-	CandidateLimit int
 }
+
+// candidateLimit bounds subtree candidate enumeration.
+const candidateLimit = 64
 
 // NewBalancer wraps the policy. Policies with missing callbacks are
 // treated conservatively (no migration).
 func NewBalancer(p Policy) *Balancer {
-	return &Balancer{policy: p, CandidateLimit: 64}
+	return &Balancer{policy: p}
 }
 
 // Name implements balancer.Balancer.
@@ -143,7 +144,7 @@ func (b *Balancer) export(v balancer.View, ex namespace.MDSID, load float64, tar
 		return
 	}
 	fraction := want / load
-	picked := balancer.HeatSelect(v, ex, fraction, b.CandidateLimit)
+	picked := balancer.HeatSelect(v, ex, fraction, candidateLimit)
 	if len(picked) == 0 {
 		return
 	}

@@ -22,8 +22,8 @@ func TestServerCrashRejoinLifecycle(t *testing.T) {
 	if s.Serve(e, files[1], 0) {
 		t.Fatal("crashed server must not serve residual budget")
 	}
-	if s.ConsumeForward() {
-		t.Fatal("crashed server must not forward")
+	if s.RemainingBudget() != 0 {
+		t.Fatal("crashed server must leave no budget to admit forwards")
 	}
 	s.BeginTick()
 	if s.HasBudget() {

@@ -50,14 +50,21 @@ func TestServerBudget(t *testing.T) {
 func TestServerForwardChargesBudget(t *testing.T) {
 	s := NewServer(0, 2, 4, 0.5)
 	s.BeginTick()
-	if !s.ConsumeForward() || !s.ConsumeForward() {
-		t.Fatal("forwards within budget must succeed")
+	s.AddForwardCharges(1)
+	if s.RemainingBudget() != 1 || s.Forwards() != 1 {
+		t.Fatalf("one relay charge: budget %d, forwards %d, want 1, 1",
+			s.RemainingBudget(), s.Forwards())
 	}
-	if s.ConsumeForward() {
-		t.Fatal("forward beyond budget must fail")
+	// Relays were admitted against the round-start budget, so a batch
+	// larger than what is left is charged in full, flooring the budget
+	// at zero.
+	s.AddForwardCharges(3)
+	if s.HasBudget() || s.RemainingBudget() != 0 {
+		t.Fatalf("budget after over-charge = %d, want 0", s.RemainingBudget())
 	}
-	if s.Forwards() != 2 {
-		t.Fatalf("forwards = %d", s.Forwards())
+	s.AddForwardCharges(0)
+	if s.Forwards() != 4 {
+		t.Fatalf("forwards = %d, want 4", s.Forwards())
 	}
 }
 

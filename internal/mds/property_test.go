@@ -99,17 +99,20 @@ func TestServerAccountingProperty(t *testing.T) {
 		e := p.GoverningEntry(in)
 
 		s := NewServer(0, 10, 4, 0.9)
-		var served int64
+		var served, offeredTotal int64
 		for tick, b := range bursts {
 			s.BeginTick()
 			offered := int(b % 17)
+			offeredTotal += int64(offered)
+			var stalls int64
 			for i := 0; i < offered; i++ {
 				if s.Serve(e, in, int64(tick/10)) {
 					served++
 				} else {
-					s.NoteStall()
+					stalls++
 				}
 			}
+			s.AddStalls(stalls)
 			if s.OpsThisTick() > 10 {
 				return false // capacity must bound per-tick service
 			}
@@ -118,7 +121,7 @@ func TestServerAccountingProperty(t *testing.T) {
 			}
 		}
 		s.EndEpoch(len(bursts) % 10)
-		if served != s.OpsTotal() {
+		if served != s.OpsTotal() || served+s.Stalls() != offeredTotal {
 			return false
 		}
 		// Reconstruct total ops from the load history.

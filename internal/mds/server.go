@@ -221,12 +221,13 @@ func (s *Server) HasBudget() bool { return s.budget > 0 }
 // admit relay hops without cross-rank writes mid-round.
 func (s *Server) RemainingBudget() int { return s.budget }
 
-// AddForwardCharges applies n relay charges buffered by the parallel
+// AddForwardCharges applies n relay charges (requests relayed through
+// this server on their way to the authoritative MDS) buffered by the
 // engine at a phase barrier: the rank that resolved a chain through
-// this server charges it here instead of calling ConsumeForward from
-// another goroutine. Admission was decided against the round-start
-// budget snapshot, so the whole batch is charged, flooring the budget
-// at zero (a relay hop never owes work into the next tick).
+// this server charges it here rather than from another goroutine.
+// Admission was decided against the round-start budget snapshot, so
+// the whole batch is charged, flooring the budget at zero (a relay hop
+// never owes work into the next tick).
 func (s *Server) AddForwardCharges(n int) {
 	if n <= 0 {
 		return
@@ -238,21 +239,9 @@ func (s *Server) AddForwardCharges(n int) {
 	s.fwdTotal += int64(n)
 }
 
-// AddStalls applies n stall notes buffered by the parallel engine at a
-// phase barrier (the barrier-batched form of NoteStall).
+// AddStalls records n requests that could not be served this tick,
+// buffered by the engine and applied at a phase barrier.
 func (s *Server) AddStalls(n int64) { s.stallsTotal += n }
-
-// ConsumeForward charges one forwarding unit (a request relayed through
-// this server on its way to the authoritative MDS). It returns false
-// without charging when the server is saturated.
-func (s *Server) ConsumeForward() bool {
-	if s.budget <= 0 {
-		return false
-	}
-	s.budget--
-	s.fwdTotal++
-	return true
-}
 
 // Serve processes one metadata access to in, governed by subtree entry
 // e, during the given epoch. It returns false without side effects when
@@ -286,9 +275,6 @@ func (s *Server) ServeDeferVisit(e namespace.Entry, in *namespace.Inode, epoch i
 	s.addHeat(e.Key, in, write)
 	return true, firstVisit
 }
-
-// NoteStall records a request that could not be served this tick.
-func (s *Server) NoteStall() { s.stallsTotal++ }
 
 // Journal returns the rank's group-commit journal of write-back
 // batches. It is empty unless the cluster runs clients in write-back

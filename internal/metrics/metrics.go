@@ -255,10 +255,6 @@ func (r *Recorder) SetTenants(n int) {
 	r.tenantJCT = jct
 }
 
-// Tenants returns how many tenants the recorder tracks (0 when the run
-// was single-tenant).
-func (r *Recorder) Tenants() int { return len(r.tenantLat) }
-
 // AddTenantJCT records a client completion time under its tenant.
 func (r *Recorder) AddTenantJCT(t int, tick int64) {
 	if t >= 0 && t < len(r.tenantJCT) {

@@ -12,16 +12,12 @@ func TestPolicyValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"default", DefaultPolicy(), true},
-		{"flat", Policy{Rate: 10, Burst: 20, WeightMode: WeightFlat}, true},
-		{"clients", Policy{Rate: 10, Burst: 10, WeightMode: WeightClients}, true},
-		{"empty mode", Policy{Rate: 1, Burst: 1}, true},
+		{"burst above rate", Policy{Rate: 10, Burst: 20}, true},
+		{"burst equals rate", Policy{Rate: 1, Burst: 1}, true},
 		{"zero rate", Policy{Rate: 0, Burst: 10}, false},
 		{"negative rate", Policy{Rate: -1, Burst: 10}, false},
 		{"nan rate", Policy{Rate: math.NaN(), Burst: 10}, false},
 		{"burst below rate", Policy{Rate: 10, Burst: 5}, false},
-		{"bad mode", Policy{Rate: 1, Burst: 1, WeightMode: "zipf"}, false},
-		{"debt one", Policy{Rate: 1, Burst: 1, DebtThreshold: 1}, false},
-		{"debt negative", Policy{Rate: 1, Burst: 1, DebtThreshold: -0.1}, false},
 	}
 	for _, c := range cases {
 		if err := c.pol.Validate(); (err == nil) != c.ok {
@@ -31,24 +27,18 @@ func TestPolicyValidate(t *testing.T) {
 }
 
 func TestBindWeightModes(t *testing.T) {
-	m := MustManager(Policy{Rate: 10, Burst: 30, WeightMode: WeightFlat})
+	// Every tenant gets the same rate and burst regardless of size.
+	m := MustManager(Policy{Rate: 10, Burst: 30})
 	if err := m.Bind([]int{1, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if m.RateOf(0) != 10 || m.RateOf(1) != 10 {
 		t.Errorf("flat rates = %v, %v, want 10, 10", m.RateOf(0), m.RateOf(1))
 	}
-	m = MustManager(Policy{Rate: 10, Burst: 30, WeightMode: WeightClients})
-	if err := m.Bind([]int{1, 4}); err != nil {
-		t.Fatal(err)
+	if m.BurstOf(1) != 30 {
+		t.Errorf("flat burst = %v, want 30", m.BurstOf(1))
 	}
-	if m.RateOf(0) != 10 || m.RateOf(1) != 40 {
-		t.Errorf("clients rates = %v, %v, want 10, 40", m.RateOf(0), m.RateOf(1))
-	}
-	if m.BurstOf(1) != 120 {
-		t.Errorf("clients burst = %v, want 120", m.BurstOf(1))
-	}
-	if m.Tokens(1) != 120 {
+	if m.Tokens(1) != 30 {
 		t.Errorf("bucket should start full, tokens = %v", m.Tokens(1))
 	}
 	if err := m.Bind(nil); err == nil {
@@ -109,13 +99,14 @@ func TestFractionalTokensStayWhole(t *testing.T) {
 }
 
 func TestDebtAndThrottleLatch(t *testing.T) {
-	m := MustManager(Policy{Rate: 10, Burst: 10, DebtThreshold: 0.3})
+	m := MustManager(Policy{Rate: 10, Burst: 10})
 	if err := m.Bind([]int{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Tenant 0: 6 admitted, 4 pool-stalled -> debt 0.4.
-	m.NoteAdmitted(0, 6)
-	m.NoteStalled(0, 4)
+	// Tenant 0: 4 admitted, 6 pool-stalled -> debt 0.6, past the 0.5
+	// threshold.
+	m.NoteAdmitted(0, 4)
+	m.NoteStalled(0, 6)
 	// Tenant 1: throttled by its bucket but fully served otherwise.
 	m.NoteAdmitted(1, 10)
 	m.NoteThrottled(1, 50)
@@ -123,14 +114,14 @@ func TestDebtAndThrottleLatch(t *testing.T) {
 		t.Errorf("debt must only appear after EndEpoch, got %v", m.MaxDebt())
 	}
 	m.EndEpoch()
-	if got := m.DebtOf(0); got != 0.4 {
-		t.Errorf("debt(0) = %v, want 0.4", got)
+	if got := m.DebtOf(0); got != 0.6 {
+		t.Errorf("debt(0) = %v, want 0.6", got)
 	}
 	if got := m.DebtOf(1); got != 0 {
 		t.Errorf("throttles must not create debt, debt(1) = %v", got)
 	}
-	if got := m.MaxDebt(); got != 0.4 {
-		t.Errorf("MaxDebt = %v, want 0.4", got)
+	if got := m.MaxDebt(); got != 0.6 {
+		t.Errorf("MaxDebt = %v, want 0.6", got)
 	}
 	if m.ThrottledLastEpoch(0) || !m.ThrottledLastEpoch(1) {
 		t.Errorf("throttle latch = %v, %v, want false, true",
@@ -145,7 +136,7 @@ func TestDebtAndThrottleLatch(t *testing.T) {
 }
 
 func TestMaxDebtThreshold(t *testing.T) {
-	m := MustManager(Policy{Rate: 10, Burst: 10, DebtThreshold: 0.5})
+	m := MustManager(Policy{Rate: 10, Burst: 10})
 	if err := m.Bind([]int{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +145,6 @@ func TestMaxDebtThreshold(t *testing.T) {
 	m.EndEpoch()
 	if got := m.MaxDebt(); got != 0 {
 		t.Errorf("debt 0.2 below threshold 0.5 must report 0, got %v", got)
-	}
-	disabled := MustManager(Policy{Rate: 10, Burst: 10, DebtThreshold: 0})
-	if err := disabled.Bind([]int{1}); err != nil {
-		t.Fatal(err)
-	}
-	disabled.NoteStalled(0, 100)
-	disabled.EndEpoch()
-	if got := disabled.MaxDebt(); got != 0 {
-		t.Errorf("threshold 0 disables the signal, got %v", got)
 	}
 }
 

@@ -22,10 +22,9 @@ import (
 // This is how external traces — the paper replays an Apache access
 // log — are brought into the simulator.
 
-// traceOp is one parsed line.
-type traceOp struct {
-	kind namespace.Ino // placeholder to keep struct alignment honest
-}
+// maxTraceClients bounds the client ids a trace may use: Setup builds
+// one stream per id up to the largest, so an id is a memory request.
+const maxTraceClients = 1 << 16
 
 // parsedOp is one trace line before namespace resolution.
 type parsedOp struct {
@@ -42,7 +41,9 @@ type TraceFile struct {
 }
 
 // ParseTrace reads a trace. It returns an error with line context for
-// malformed input.
+// malformed input, and an error for a trace whose namespace cannot be
+// built (a path used as a file and then as a directory), so that
+// Setup succeeds on a fresh tree for every trace it accepts.
 func ParseTrace(r io.Reader) (*TraceFile, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -59,8 +60,8 @@ func ParseTrace(r io.Reader) (*TraceFile, error) {
 			return nil, fmt.Errorf("workload: trace line %d: want 'client op path [bytes]', got %q", lineNo, line)
 		}
 		client, err := strconv.Atoi(fields[0])
-		if err != nil || client < 0 {
-			return nil, fmt.Errorf("workload: trace line %d: bad client %q", lineNo, fields[0])
+		if err != nil || client < 0 || client >= maxTraceClients {
+			return nil, fmt.Errorf("workload: trace line %d: bad client %q (want 0..%d)", lineNo, fields[0], maxTraceClients-1)
 		}
 		kind, err := parseOpKind(fields[1])
 		if err != nil {
@@ -69,6 +70,9 @@ func ParseTrace(r io.Reader) (*TraceFile, error) {
 		path := fields[2]
 		if !strings.HasPrefix(path, "/") {
 			return nil, fmt.Errorf("workload: trace line %d: path must be absolute: %q", lineNo, path)
+		}
+		if kind == OpCreate && basename(path) == "" {
+			return nil, fmt.Errorf("workload: trace line %d: create needs a file name: %q", lineNo, path)
 		}
 		var data int64
 		if len(fields) > 3 {
@@ -87,6 +91,9 @@ func ParseTrace(r io.Reader) (*TraceFile, error) {
 	}
 	if len(tf.ops) == 0 {
 		return nil, fmt.Errorf("workload: trace contains no operations")
+	}
+	if err := tf.materialize(namespace.NewTree()); err != nil {
+		return nil, err
 	}
 	return tf, nil
 }
@@ -120,32 +127,8 @@ func (g *TraceFile) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([
 	if clients != g.clients {
 		return nil, fmt.Errorf("workload: trace defines %d clients, cluster configured for %d", g.clients, clients)
 	}
-	// Pre-create everything non-create ops touch.
-	for _, op := range g.ops {
-		if op.kind == OpCreate {
-			// Only the parent must exist ahead of time.
-			if _, err := tree.MkdirAll(parentPath(op.path)); err != nil {
-				return nil, fmt.Errorf("workload: trace setup %q: %w", op.path, err)
-			}
-			continue
-		}
-		if op.kind == OpReaddir {
-			if _, err := tree.MkdirAll(op.path); err != nil {
-				return nil, fmt.Errorf("workload: trace setup %q: %w", op.path, err)
-			}
-			continue
-		}
-		if _, err := tree.Lookup(op.path); err == nil {
-			continue
-		}
-		if _, err := tree.MkdirAll(parentPath(op.path)); err != nil {
-			return nil, fmt.Errorf("workload: trace setup %q: %w", op.path, err)
-		}
-		parent, _ := tree.Lookup(parentPath(op.path))
-		size := op.data
-		if _, err := tree.Create(parent, basename(op.path), size); err != nil {
-			return nil, fmt.Errorf("workload: trace setup %q: %w", op.path, err)
-		}
+	if err := g.materialize(tree); err != nil {
+		return nil, err
 	}
 
 	// Split into per-client op sequences, resolving targets lazily so
@@ -161,8 +144,38 @@ func (g *TraceFile) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([
 			RateScale: 1,
 		}
 	}
-	_ = traceOp{}
 	return specs, nil
+}
+
+// materialize pre-creates in tree everything the trace's non-create
+// ops touch, and the parent directories of its creates.
+func (g *TraceFile) materialize(tree *namespace.Tree) error {
+	for _, op := range g.ops {
+		if op.kind == OpCreate {
+			// Only the parent must exist ahead of time.
+			if _, err := tree.MkdirAll(parentPath(op.path)); err != nil {
+				return fmt.Errorf("workload: trace setup %q: %w", op.path, err)
+			}
+			continue
+		}
+		if op.kind == OpReaddir {
+			if _, err := tree.MkdirAll(op.path); err != nil {
+				return fmt.Errorf("workload: trace setup %q: %w", op.path, err)
+			}
+			continue
+		}
+		if _, err := tree.Lookup(op.path); err == nil {
+			continue
+		}
+		parent, err := tree.MkdirAll(parentPath(op.path))
+		if err != nil {
+			return fmt.Errorf("workload: trace setup %q: %w", op.path, err)
+		}
+		if _, err := tree.Create(parent, basename(op.path), op.data); err != nil {
+			return fmt.Errorf("workload: trace setup %q: %w", op.path, err)
+		}
+	}
+	return nil
 }
 
 // traceStream replays one client's parsed ops against the live tree.

@@ -58,20 +58,53 @@ func TestParseTraceBasics(t *testing.T) {
 	}
 }
 
+// badTraces are inputs ParseTrace must reject.
+var badTraces = []string{
+	"",                              // empty
+	"0 lookup",                      // too few fields
+	"x lookup /a",                   // bad client
+	"65536 lookup /a",               // client id past maxTraceClients
+	"9223372036854775807 lookup /a", // client id that overflows the count
+	"0 frobnicate /a",               // unknown op
+	"0 lookup relative/path",        // not absolute
+	"0 open /a notanumber",          // bad size
+	"0 create /",                    // create without a file name
+	"0 create /d/",                  // create without a file name
+	"0 lookup /a/",                  // a file without a name
+	"0 lookup /a\n0 readdir /a/b",   // /a is a file, then a directory
+	"0 lookup /a\n0 create /a/b",    // /a is a file, then a parent
+}
+
 func TestParseTraceErrors(t *testing.T) {
-	cases := []string{
-		"",                       // empty
-		"0 lookup",               // too few fields
-		"x lookup /a",            // bad client
-		"0 frobnicate /a",        // unknown op
-		"0 lookup relative/path", // not absolute
-		"0 open /a notanumber",   // bad size
-	}
-	for _, c := range cases {
+	for _, c := range badTraces {
 		if _, err := ParseTrace(strings.NewReader(c)); err == nil {
 			t.Fatalf("trace %q should fail to parse", c)
 		}
 	}
+}
+
+// FuzzParseTrace feeds arbitrary text to ParseTrace, which reads
+// external input. The oracle: no panic, and every trace it accepts
+// builds on a fresh tree (Setup succeeds) and replays to the end.
+func FuzzParseTrace(f *testing.F) {
+	f.Add(sampleTrace)
+	f.Add("0 lookup /a/f 0\n")
+	for _, c := range badTraces {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tf, err := ParseTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		specs, err := tf.Setup(namespace.NewTree(), tf.Clients(), rng.New(1))
+		if err != nil {
+			t.Fatalf("accepted trace fails Setup: %v", err)
+		}
+		for _, sp := range specs {
+			drain(sp.Stream)
+		}
+	})
 }
 
 func TestTraceSetupClientMismatch(t *testing.T) {

@@ -17,10 +17,6 @@ type ZipfConfig struct {
 	FilesPerClient int
 	// OpsPerClient is the number of reads each client performs.
 	OpsPerClient int
-	// Exponent is the Zipf exponent (0.98 gives the 80/20 shape).
-	Exponent float64
-	// MeanFileBytes is the average file size.
-	MeanFileBytes int64
 	// Dir is the workload's root directory (default "/zipf").
 	Dir string
 	// ClientOffset shifts the client indices baked into directory
@@ -29,18 +25,19 @@ type ZipfConfig struct {
 	ClientOffset int
 }
 
+// zipfExponent is the Zipf exponent of the Zipf and ReadStorm
+// workloads: 0.98 gives the 80/20 shape.
+const zipfExponent = 0.98
+
+// zipfMeanFileBytes is the Zipf workload's average file size.
+const zipfMeanFileBytes = 16 * 1024
+
 func (c *ZipfConfig) defaults() {
 	if c.FilesPerClient == 0 {
 		c.FilesPerClient = 1000
 	}
 	if c.OpsPerClient == 0 {
 		c.OpsPerClient = 12000
-	}
-	if c.Exponent == 0 {
-		c.Exponent = 0.98
-	}
-	if c.MeanFileBytes == 0 {
-		c.MeanFileBytes = 16 * 1024
 	}
 	if c.Dir == "" {
 		c.Dir = "/zipf"
@@ -74,13 +71,13 @@ func (g *Zipf) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clie
 		}
 		files := make([]*namespace.Inode, g.cfg.FilesPerClient)
 		for f := 0; f < g.cfg.FilesPerClient; f++ {
-			in, err := tree.Create(dir, fmt.Sprintf("file%05d", f), g.cfg.MeanFileBytes)
+			in, err := tree.Create(dir, fmt.Sprintf("file%05d", f), zipfMeanFileBytes)
 			if err != nil {
 				return nil, err
 			}
 			files[f] = in
 		}
-		streams[c] = newZipfReads(files, g.cfg.OpsPerClient, g.cfg.Exponent, src.Fork(uint64(c)+10))
+		streams[c] = newZipfReads(files, g.cfg.OpsPerClient, zipfExponent, src.Fork(uint64(c)+10))
 	}
 	return jitterSpecs(streams, 0, 0, src.Fork(1)), nil
 }
